@@ -5,13 +5,11 @@ from .deposition import (
     SamplingGrid,
     brute_force_rate,
     brute_force_values,
-    closed_form_rate,
     closed_form_values,
     fourier_harmonics,
     profile_2d,
     profile_brute,
     profile_closed,
-    profile_closed_mixture,
 )
 from .exposure import ExposureResult, FilmModel, required_shots, simulate_exposure
 from .fock import (
@@ -44,6 +42,7 @@ from .planner import (
     negative_plan,
     partition_table,
     phases_for_pixel,
+    pixel_basis,
     pixel_center,
     pixel_from_levels,
     pixel_levels,

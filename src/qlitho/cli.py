@@ -2,9 +2,10 @@
 
 Every command reads a config file; flags override file values.  All
 outputs are plain text with a header echoing the fully resolved
-configuration, written atomically (temp file + rename).  Exit codes: 0
-success, 1 verification failure, 2 invalid configuration or usage, 3
-computation error.
+configuration, written atomically (temp file + rename) once the whole
+output set is computed.  Exit codes: 0 success, 1 verification failure,
+2 invalid configuration, usage or unreadable input file, 3 computation
+error or unwritable output.
 """
 
 from __future__ import annotations
@@ -48,6 +49,13 @@ def atomic_write(path: Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_all(out: Path, outputs: dict) -> None:
+    """Write a command's output files; callers build every text first, so a
+    failed run leaves no partial output set."""
+    for name, text in outputs.items():
+        atomic_write(out / name, text)
 
 
 def _config_header(cfg: RunConfig) -> list[str]:
@@ -133,6 +141,7 @@ def cmd_rate(args) -> int:
 
     closed_profile = None
     brute_profile = None
+    outputs = {}
     if cfg.engine in ("brute", "both") and mode == "pixel_sum_unity":
         raise ConfigError("pixelsum normalization applies to the closed-form engine only")
     if cfg.engine in ("closed", "both"):
@@ -141,7 +150,7 @@ def cmd_rate(args) -> int:
         if cfg.transmission != 1.0:
             raise ConfigError("closed form requires a lossless beam path; use the brute engine")
         closed_profile = planner.plan_profile(plan, grid, mode)
-        atomic_write(out / "profile_closed.csv", deposition.profile_text(closed_profile, header))
+        outputs["profile_closed.csv"] = deposition.profile_text(closed_profile, header)
     if cfg.engine in ("brute", "both"):
         source = planner.plan_mixture(plan)
         if cfg.transmission != 1.0:
@@ -154,26 +163,27 @@ def cmd_rate(args) -> int:
                 )
             source = MixedState(tuple(parts))
         brute_profile = deposition.profile_brute(source, order, grid, mode)
-        atomic_write(out / "profile_brute.csv", deposition.profile_text(brute_profile, header))
+        outputs["profile_brute.csv"] = deposition.profile_text(brute_profile, header)
+    if cfg.two_d:
+        base = closed_profile if closed_profile is not None else brute_profile
+        grid2d = deposition.profile_2d(base, base)
+        outputs["profile_2d.csv"] = deposition.profile_2d_text(grid, grid, grid2d, header)
+    _write_all(out, outputs)
     if cfg.engine == "both":
         a = closed_profile.values / closed_profile.values.max()
         b = brute_profile.values / brute_profile.values.max()
         print(f"max |closed - brute| after peak normalization: {np.abs(a - b).max():.3e}")
-    if cfg.two_d:
-        base = closed_profile if closed_profile is not None else brute_profile
-        grid2d = deposition.profile_2d(base, base)
-        atomic_write(out / "profile_2d.csv", deposition.profile_2d_text(grid, grid, grid2d, header))
     print(f"wrote profiles to {out}")
     return EXIT_OK
 
 
 def _read_pattern(path: Path):
     """Pixel-index list, or a 0/1 bitmap when the file looks like a matrix."""
-    lines = [
-        l.strip()
-        for l in path.read_text(encoding="utf-8").splitlines()
-        if l.strip() and not l.lstrip().startswith("#")
-    ]
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read pattern: {exc}") from exc
+    lines = [l.strip() for l in text.splitlines() if l.strip() and not l.lstrip().startswith("#")]
     if not lines:
         raise ConfigError(f"pattern file {path} is empty")
     rows = [l.replace(",", " ").split() for l in lines]
@@ -195,10 +205,12 @@ def cmd_plan(args) -> int:
         if args.negative:
             pattern = 1 - pattern
         plan2d = planner.plan_bitmap(geometry, pattern)
-        atomic_write(out / "plan.txt", planner.plan2d_to_text(plan2d))
         grid = _grid(cfg)
         values = planner.plan_rate_values_2d(plan2d, grid.points(), grid.points())
-        atomic_write(out / "plan_profile_2d.csv", deposition.profile_2d_text(grid, grid, values, header))
+        _write_all(out, {
+            "plan.txt": planner.plan2d_to_text(plan2d),
+            "plan_profile_2d.csv": deposition.profile_2d_text(grid, grid, values, header),
+        })
         print(f"wrote 2d plan ({len(plan2d.entries)} entries) to {out}")
         return EXIT_OK
 
@@ -212,26 +224,18 @@ def cmd_plan(args) -> int:
         plan = planner.plan_pattern(geometry, targets)
     else:
         plan = _plan_from_config(cfg)
+    grid = _grid(cfg)
     if args.negative:
         positive = plan
         plan = planner.negative_plan(positive)
-        grid = _grid(cfg)
         total = planner.plan_profile(positive, grid, "pixel_sum_unity").values + \
             planner.plan_profile(plan, grid, "pixel_sum_unity").values
         print(f"sum check: max |original + negative - 1| = {np.abs(total - 1.0).max():.3e}")
 
-    atomic_write(out / "plan.txt", planner.plan_to_text(plan))
-    grid = _grid(cfg)
     profile = planner.plan_profile(plan, grid, NORMALIZE_CHOICES[cfg.normalize])
-    atomic_write(out / "plan_profile.csv", deposition.profile_text(profile, header))
-
+    raw = profile if profile.normalization_mode == "raw" else planner.plan_profile(plan, grid, "raw")
     targets = [e.address.index for e in plan.entries if e.address is not None and not e.address.intermediate]
-    report = imperfections.degradation_report(
-        planner.plan_profile(plan, grid, "raw"),
-        planner.plan_profile(plan, grid, "raw"),
-        geometry,
-        targets=targets or None,
-    )
+    report = imperfections.degradation_report(raw, raw, geometry, targets=targets or None)
     report_lines = [f"# {line}" for line in header]
     report_lines += [
         f"entries: {len(plan.entries)}",
@@ -244,7 +248,11 @@ def cmd_plan(args) -> int:
         f"offtarget_dose_fraction: {format(report.offtarget_dose_fraction, '.17g')}",
         f"top_harmonic_ratio: {format(report.top_harmonic_ratio, '.17g')}",
     ]
-    atomic_write(out / "plan_report.txt", "\n".join(report_lines) + "\n")
+    _write_all(out, {
+        "plan.txt": planner.plan_to_text(plan),
+        "plan_profile.csv": deposition.profile_text(profile, header),
+        "plan_report.txt": "\n".join(report_lines) + "\n",
+    })
     print(f"wrote plan ({len(plan.entries)} entries) to {out}")
     return EXIT_OK
 
@@ -257,9 +265,10 @@ def cmd_expose(args) -> int:
         plan, film, cfg.film.shots, cfg.film.seed, cfg.film.repeats, keep_grains=args.grain_bitmap
     )
     out = _out_dir(args, cfg)
-    atomic_write(out / "exposure.txt", exposure.exposure_result_text(result, _config_header(cfg)))
+    outputs = {"exposure.txt": exposure.exposure_result_text(result, _config_header(cfg))}
     if args.grain_bitmap:
-        atomic_write(out / "grains.txt", exposure.grain_bitmap_text(result))
+        outputs["grains.txt"] = exposure.grain_bitmap_text(result)
+    _write_all(out, outputs)
     print(f"wrote exposure statistics to {out}")
     return EXIT_OK
 
@@ -337,6 +346,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ValueError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -75,7 +74,8 @@ class DepositionProfile:
             raise ValueError(f"unknown normalization mode {self.normalization_mode!r}")
 
 
-def _finalize(grid: SamplingGrid, values: np.ndarray, mode: str) -> DepositionProfile:
+def finalize_profile(grid: SamplingGrid, values: np.ndarray, mode: str) -> DepositionProfile:
+    """Wrap sampled rates as a profile, dividing by the peak for ``peak_unity``."""
     if mode == "peak_unity":
         peak = values.max(initial=0.0)
         if peak <= 0.0:
@@ -103,27 +103,25 @@ def dirichlet_factor(photons: int, theta) -> np.ndarray:
 
 
 def closed_form_values(geometry: Geometry, phases, xs) -> np.ndarray:
-    """Vectorized closed-form rate over positions ``xs`` (wavelength units)."""
-    phases = tuple(phases)
-    if len(phases) != len(geometry.pairs):
-        raise ValueError(f"expected {len(geometry.pairs)} phases, got {len(phases)}")
-    xs = np.asarray(xs, dtype=float)
-    out = np.ones_like(xs)
-    for pair, phi in zip(geometry.pairs, phases):
-        theta = 4.0 * math.pi * pair.scaling * xs - phi
-        out = out * dirichlet_factor(pair.photons, theta)
-    return out
-
-
-def closed_form_rate(geometry: Geometry, phases, x: float) -> float:
-    """Full-order deposition rate at one point, normalized to peak value 1.
+    """Full-order deposition rate at positions ``xs`` (wavelength units).
 
     Each mode pair contributes one Dirichlet kernel in
     theta_j = 4 pi s_j x - phi_j; the product peaks at exactly 1 where all
     kernel arguments vanish simultaneously.  Only valid when the film
-    absorbs the full photon number of the product state.
+    absorbs the full photon number of the product state.  ``phases`` is
+    one setting of shape ``(pairs,)`` or a stack of shape
+    ``(settings, pairs)``, which gives one row of rates per setting.
     """
-    return float(closed_form_values(geometry, phases, np.array([x]))[0])
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape[-1:] != (len(geometry.pairs),):
+        raise ValueError(f"expected {len(geometry.pairs)} phases per setting, got shape {phases.shape}")
+    xs = np.asarray(xs, dtype=float)
+    shifts = phases.reshape(phases.shape[:-1] + (1,) * xs.ndim + phases.shape[-1:])
+    out = np.ones(phases.shape[:-1] + xs.shape)
+    for j, pair in enumerate(geometry.pairs):
+        theta = 4.0 * math.pi * pair.scaling * xs - shifts[..., j]
+        out = out * dirichlet_factor(pair.photons, theta)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -185,32 +183,12 @@ def profile_brute(state, order: int, grid: SamplingGrid, normalization: str = "r
     """Sample the brute-force rate over a grid."""
     if normalization == "pixel_sum_unity":
         raise ValueError("pixel_sum_unity applies to closed-form pixel plans only")
-    return _finalize(grid, brute_force_values(state, order, grid.points()), normalization)
+    return finalize_profile(grid, brute_force_values(state, order, grid.points()), normalization)
 
 
 def profile_closed(geometry: Geometry, phases, grid: SamplingGrid, normalization: str = "raw") -> DepositionProfile:
     """Sample the closed-form rate for one phase setting over a grid."""
-    return _finalize(grid, closed_form_values(geometry, phases, grid.points()), normalization)
-
-
-def profile_closed_mixture(geometry: Geometry, entries, grid: SamplingGrid,
-                           normalization: str = "raw") -> DepositionProfile:
-    """Weighted closed-form profile of ``(weight, phases)`` entries.
-
-    ``pixel_sum_unity`` rescales by the entry count so that the family of
-    all single-pixel profiles sums to exactly one everywhere; with equal
-    weights this is the plain unweighted sum of per-pixel kernels.
-    """
-    entries = list(entries)
-    if not entries:
-        raise ValueError("need at least one plan entry")
-    xs = grid.points()
-    values = np.zeros_like(xs)
-    for weight, phases in entries:
-        values += weight * closed_form_values(geometry, phases, xs)
-    if normalization == "pixel_sum_unity":
-        return DepositionProfile(grid, values * len(entries), normalization)
-    return _finalize(grid, values, normalization)
+    return finalize_profile(grid, closed_form_values(geometry, phases, grid.points()), normalization)
 
 
 def profile_2d(profile_x: DepositionProfile, profile_y: DepositionProfile) -> np.ndarray:
@@ -230,25 +208,6 @@ def profile_2d(profile_x: DepositionProfile, profile_y: DepositionProfile) -> np
 # ---------------------------------------------------------------------------
 # Spectral content
 # ---------------------------------------------------------------------------
-
-def fundamental_period(geometry: Geometry) -> Fraction:
-    """Least common period of the per-pair fringe patterns, in wavelengths.
-
-    Pair j repeats every 1/(2 s_j); scalings are interpreted as rationals
-    (they are arcsin(1/k)-style by construction).
-    """
-    period = Fraction(0)
-    for pair in geometry.pairs:
-        p = Fraction(1, 2) / Fraction(pair.scaling).limit_denominator(10**9)
-        period = p if period == 0 else _lcm_fraction(period, p)
-    return period
-
-
-def _lcm_fraction(a: Fraction, b: Fraction) -> Fraction:
-    return Fraction(
-        math.lcm(a.numerator, b.numerator), math.gcd(a.denominator, b.denominator)
-    )
-
 
 def fourier_harmonics(profile: DepositionProfile, fundamental_period: float,
                       max_harmonic: int | None = None) -> np.ndarray:

@@ -56,6 +56,13 @@ def grain_positions(spec: PixelSpec, grains_per_pixel: int) -> np.ndarray:
     return (pixels + offsets) * spec.pixel_width
 
 
+def flip_probability(per_shot, shots: int):
+    """Chance 1 - (1 - p)^S that a grain flips in S shots, as -expm1(S log1p(-p)) so
+    that p below the float epsilon of 1 does not round to zero; p = 1 gives 1."""
+    with np.errstate(divide="ignore"):
+        return -np.expm1(shots * np.log1p(-np.asarray(per_shot, dtype=float)))
+
+
 def simulate_exposure(
     plan: ExposurePlan,
     film: FilmModel,
@@ -83,7 +90,7 @@ def simulate_exposure(
         raise ValueError(
             f"per-shot absorption probability {per_shot.max():.3g} exceeds 1; lower q or the rate"
         )
-    flip_prob = 1.0 - (1.0 - np.clip(per_shot, 0.0, 1.0)) ** shots
+    flip_prob = flip_probability(np.clip(per_shot, 0.0, 1.0), shots)
 
     counts = np.empty((repeats, spec.pixel_count), dtype=np.int64)
     bitmaps = np.empty((repeats,) + positions.shape, dtype=bool) if keep_grains else None
@@ -125,7 +132,7 @@ def required_shots(target_mean: float, absorb_prob: float, peak_rate: float, gra
         raise ValueError("full saturation is reached only asymptotically; pick a target below the grain count")
     shots = math.ceil(math.log(remaining) / math.log1p(-per_shot))
     # Guard the ceiling against boundary roundoff.
-    while shots > 1 and grains * (1.0 - (1.0 - per_shot) ** (shots - 1)) >= target_mean:
+    while shots > 1 and grains * flip_probability(per_shot, shots - 1) >= target_mean:
         shots -= 1
     return max(shots, 1)
 

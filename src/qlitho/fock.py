@@ -215,16 +215,20 @@ def apply_absorption(state: PureState, order: int) -> PureState:
     if order < 1:
         raise ValueError("absorption order must be >= 1")
     scale = 1.0 / math.sqrt(state.geometry.mode_count)
-    amps = state.amplitudes
+    return PureState(state.geometry, _annihilate(state.amplitudes, order, scale), normalized=False)
+
+
+def _annihilate(amps: dict, order: int, scale: float) -> dict:
+    """Apply (scale * sum_m a_m)^order to a sparse amplitude map."""
     for _ in range(order):
-        nxt: dict[tuple[int, ...], complex] = {}
+        nxt = {}
         for occ, amp in amps.items():
             for m, n in enumerate(occ):
                 if n:
                     target = occ[:m] + (n - 1,) + occ[m + 1 :]
-                    nxt[target] = nxt.get(target, 0j) + amp * (math.sqrt(n) * scale)
+                    nxt[target] = nxt.get(target, 0) + amp * (math.sqrt(n) * scale)
         amps = nxt
-    return PureState(state.geometry, amps, normalized=False)
+    return amps
 
 
 @lru_cache(maxsize=128)
@@ -240,18 +244,7 @@ def absorption_transfer(
     ``support`` must be sorted for cache hits.
     """
     scale = 1.0 / math.sqrt(mode_count)
-    columns = []
-    for occ in support:
-        amps = {occ: 1.0}
-        for _ in range(order):
-            nxt: dict[tuple[int, ...], float] = {}
-            for v, a in amps.items():
-                for m, n in enumerate(v):
-                    if n:
-                        target = v[:m] + (n - 1,) + v[m + 1 :]
-                        nxt[target] = nxt.get(target, 0.0) + a * (math.sqrt(n) * scale)
-            amps = nxt
-        columns.append(amps)
+    columns = [_annihilate({occ: 1.0}, order, scale) for occ in support]
     finals = tuple(sorted(set().union(*map(set, columns)))) if columns else ()
     matrix = np.zeros((len(finals), len(support)))
     row = {occ: f for f, occ in enumerate(finals)}
@@ -259,43 +252,3 @@ def absorption_transfer(
         for occ, a in col.items():
             matrix[row[occ], i] = a
     return finals, matrix
-
-
-# ---------------------------------------------------------------------------
-# Canonical text serialization (test fixtures, CLI dumps)
-# ---------------------------------------------------------------------------
-
-def state_to_text(state: PureState) -> str:
-    """Serialize a state as occupation / real / imag rows sorted by occupation."""
-    lines = []
-    for pair in state.geometry.pairs:
-        lines.append(
-            f"# pair {pair.index} photons {pair.photons} scaling {format(pair.scaling, '.17g')}"
-        )
-    lines.append(f"# normalized {'true' if state.normalized else 'false'}")
-    for occ in sorted(state.amplitudes):
-        amp = state.amplitudes[occ]
-        nums = " ".join(str(n) for n in occ)
-        lines.append(f"{nums} {format(amp.real, '.17g')} {format(amp.imag, '.17g')}")
-    return "\n".join(lines) + "\n"
-
-
-def state_from_text(text: str) -> PureState:
-    pairs = []
-    normalized = True
-    amps: dict[tuple[int, ...], complex] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            fields = line[1:].split()
-            if fields and fields[0] == "pair":
-                pairs.append(ModePair(int(fields[1]), int(fields[3]), float(fields[5])))
-            elif fields and fields[0] == "normalized":
-                normalized = fields[1] == "true"
-            continue
-        fields = line.split()
-        occ = tuple(int(f) for f in fields[:-2])
-        amps[occ] = complex(float(fields[-2]), float(fields[-1]))
-    return PureState(Geometry(tuple(pairs)), amps, normalized=normalized)

@@ -232,8 +232,14 @@ def negative_plan(plan: ExposurePlan) -> ExposurePlan:
     return plan_pattern(plan.geometry, complement)
 
 
+def pixel_basis(geometry: Geometry, addresses, xs) -> np.ndarray:
+    """Single-pixel closed-form rates ``B[a, x]`` of ``addresses`` at positions ``xs``."""
+    phases = [phases_for_pixel(geometry, a) for a in addresses]
+    return deposition.closed_form_values(geometry, phases, xs)
+
+
 def plan_rate_values(plan: ExposurePlan, xs) -> np.ndarray:
-    """Raw weighted closed-form rate of a plan at positions ``xs``."""
+    """Raw weighted closed-form rate of a plan at ``xs``, summed entry by entry (O(positions) memory)."""
     xs = np.asarray(xs, dtype=float)
     out = np.zeros_like(xs)
     for entry in plan.entries:
@@ -243,10 +249,16 @@ def plan_rate_values(plan: ExposurePlan, xs) -> np.ndarray:
 
 def plan_profile(plan: ExposurePlan, grid: deposition.SamplingGrid,
                  normalization: str = "raw") -> deposition.DepositionProfile:
-    """Closed-form deposition profile of a plan."""
-    return deposition.profile_closed_mixture(
-        plan.geometry, [(e.weight, e.phases) for e in plan.entries], grid, normalization
-    )
+    """Closed-form deposition profile of a plan.
+
+    ``pixel_sum_unity`` rescales by the entry count so that the family of
+    all single-pixel profiles sums to exactly one everywhere; with equal
+    weights this is the plain unweighted sum of per-pixel kernels.
+    """
+    values = plan_rate_values(plan, grid.points())
+    if normalization == "pixel_sum_unity":
+        values = values * len(plan.entries)
+    return deposition.finalize_profile(grid, values, normalization)
 
 
 def entry_state(geometry: Geometry, phases) -> PureState:
@@ -367,19 +379,20 @@ def plan_bitmap(geometry: Geometry, bitmap, weights=None) -> ExposurePlan2D:
 
 
 def plan_rate_values_2d(plan: ExposurePlan2D, xs, ys) -> np.ndarray:
-    """Weighted sum of per-entry outer products (not an outer product of sums)."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    out = np.zeros((xs.size, ys.size))
+    """Weighted sum of per-entry products x-rate * y-rate, as ``Bx^T W By``.
+
+    ``Bx`` and ``By`` are the pixel bases of the plan's distinct x and y
+    addresses and ``W[i, j]`` is the summed weight of the entries at
+    ``(x_i, y_j)``; this is not an outer product of the axis sums.
+    """
+    x_rows = {a: i for i, a in enumerate(dict.fromkeys(e.x_address for e in plan.entries))}
+    y_rows = {a: i for i, a in enumerate(dict.fromkeys(e.y_address for e in plan.entries))}
+    weights = np.zeros((len(x_rows), len(y_rows)))
     for entry in plan.entries:
-        vx = deposition.closed_form_values(
-            plan.geometry, phases_for_pixel(plan.geometry, entry.x_address), xs
-        )
-        vy = deposition.closed_form_values(
-            plan.geometry, phases_for_pixel(plan.geometry, entry.y_address), ys
-        )
-        out += entry.weight * np.outer(vx, vy)
-    return out
+        weights[x_rows[entry.x_address], y_rows[entry.y_address]] += entry.weight
+    basis_x = pixel_basis(plan.geometry, x_rows, xs)
+    basis_y = pixel_basis(plan.geometry, y_rows, ys)
+    return basis_x.T @ (weights @ basis_y)
 
 
 def diagonal_intermediates(cells) -> list[tuple[PixelAddress, PixelAddress]]:

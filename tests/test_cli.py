@@ -184,6 +184,33 @@ class TestPlan:
         assert "plan 2d" in plan_text
         assert (out / "plan_profile_2d.csv").exists()
 
+    def test_refused_2d_plan_writes_nothing(self, tmp_path, capsys):
+        config = tmp_path / "nogrid.ini"
+        config.write_text("[geometry]\npairs =\n    photons=3 scaling=1\n    photons=3 scaling=1/4\n")
+        pattern = tmp_path / "bitmap.txt"
+        pattern.write_text("1 0\n0 1\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = main(["plan", "--config", str(config), "--out", str(out), "--pattern", str(pattern)])
+        assert code == EXIT_CONFIG
+        assert "[grid]" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_unreadable_pattern_is_input_error(self, pixel6_config, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        code = main(["plan", "--config", str(pixel6_config), "--out", str(tmp_path), "--pattern", str(missing)])
+        assert code == EXIT_CONFIG
+        assert "cannot read pattern" in capsys.readouterr().err
+
+
+class TestOutputErrors:
+    def test_unwritable_output_is_computation_error(self, pixel6_config, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        code = main(["rate", "--config", str(pixel6_config), "--out", str(blocker / "sub")])
+        assert code == EXIT_COMPUTE
+        assert "cannot write output" in capsys.readouterr().err
+
 
 class TestExpose:
     def test_exposure_runs_and_is_deterministic(self, trench_config, tmp_path):

@@ -8,20 +8,17 @@ from qlitho.deposition import (
     SamplingGrid,
     brute_force_rate,
     brute_force_values,
-    closed_form_rate,
     closed_form_values,
     dirichlet_factor,
     fourier_harmonics,
-    fundamental_period,
     profile_2d,
     profile_2d_text,
     profile_brute,
     profile_closed,
-    profile_closed_mixture,
     profile_text,
 )
 from qlitho.fock import Geometry, MixedState, ModePair, PureState, reciprocal_binomial
-from qlitho.planner import entry_state, phases_for_pixel
+from qlitho.planner import PixelSpec, entry_state, phases_for_pixel
 
 
 def zero_phases(geometry):
@@ -68,11 +65,11 @@ class TestBruteForce:
 
 class TestClosedForm:
     def test_peak_is_exactly_one_at_origin(self, two_pair_33):
-        assert closed_form_rate(two_pair_33, zero_phases(two_pair_33), 0.0) == 1.0
+        assert closed_form_values(two_pair_33, zero_phases(two_pair_33), 0.0) == 1.0
 
     def test_kernel_zero_at_eighth_wavelength(self, two_pair_33):
         # pair-1 kernel: theta = pi/2, sin^2(pi) kills the numerator
-        assert closed_form_rate(two_pair_33, zero_phases(two_pair_33), 0.125) < 1e-25
+        assert closed_form_values(two_pair_33, zero_phases(two_pair_33), 0.125) < 1e-25
 
     def test_two_pair_shape_periodicity_and_nulls(self, two_pair_33):
         phases = zero_phases(two_pair_33)
@@ -82,8 +79,8 @@ class TestClosedForm:
             - closed_form_values(two_pair_33, phases, xs + 2.0)
         ).max() < 1e-12
         # nulls every eighth wavelength except at whole periods
-        for k in range(1, 16):
-            assert closed_form_rate(two_pair_33, phases, k / 8.0) < 1e-24
+        nulls = closed_form_values(two_pair_33, phases, np.arange(1, 16) / 8.0)
+        assert nulls.max() < 1e-24
 
     def test_telescoped_denominator_identity(self, two_pair_33, two_pair_24, rng):
         # the product of two Dirichlet kernels collapses to a single ratio
@@ -115,7 +112,7 @@ class TestClosedForm:
     @pytest.mark.parametrize("offset", [0.0, 1e-12, 1e-10, 1e-8])
     def test_removable_singularity_continuity(self, offset):
         geometry = Geometry((ModePair(1, 3, 1.0),))
-        value = closed_form_rate(geometry, (0.0,), 0.5 + offset)
+        value = closed_form_values(geometry, (0.0,), 0.5 + offset)
         assert np.isfinite(value)
         assert value == pytest.approx(1.0, abs=1e-12)
 
@@ -126,7 +123,7 @@ class TestClosedForm:
             assert dirichlet_factor(n, 3e-9) == pytest.approx(1.0, abs=1e-12)
 
     def test_periodicity_least_common_period(self, chain_36):
-        period = float(fundamental_period(chain_36))
+        period = PixelSpec.from_geometry(chain_36).period
         assert period == 4.0
         phases = zero_phases(chain_36)
         xs = np.linspace(0.0, 4.0, 123)
@@ -135,9 +132,20 @@ class TestClosedForm:
             - closed_form_values(chain_36, phases, xs + period)
         ).max() < 1e-12
 
+    def test_stacked_settings_match_single_calls_bitwise(self, chain_47, rng):
+        settings = rng.uniform(0, 2 * math.pi, size=(5, len(chain_47.pairs)))
+        xs = rng.uniform(-1, 5, size=300)
+        stacked = closed_form_values(chain_47, settings, xs)
+        assert stacked.shape == (5, 300)
+        for row, phases in zip(stacked, settings):
+            assert np.array_equal(row, closed_form_values(chain_47, tuple(phases), xs))
+        at_point = closed_form_values(chain_47, settings, 0.3)
+        assert at_point.shape == (5,)
+        assert np.array_equal(at_point, closed_form_values(chain_47, settings, [0.3])[:, 0])
+
     def test_phase_count_validated(self, two_pair_33):
         with pytest.raises(ValueError, match="phases"):
-            closed_form_rate(two_pair_33, (0.0,), 0.1)
+            closed_form_values(two_pair_33, (0.0,), 0.1)
 
 
 class TestProfiles:
@@ -168,11 +176,6 @@ class TestProfiles:
             SamplingGrid(1.0, 1.0, 16)
         with pytest.raises(ValueError):
             SamplingGrid(0.0, 1.0, 1)
-
-    def test_mixture_profile_requires_entries(self, two_pair_33):
-        grid = SamplingGrid(0.0, 2.0, 16)
-        with pytest.raises(ValueError):
-            profile_closed_mixture(two_pair_33, [], grid)
 
 
 class TestProfile2D:
@@ -206,8 +209,8 @@ class TestProfile2D:
         assert xs[i] == pytest.approx(11.0 / 16.0, abs=2 * grid.spacing)
         assert xs[j] == pytest.approx(21.0 / 16.0, abs=2 * grid.spacing)
         # at the exact centers the off-diagonal combination vanishes
-        vx = closed_form_rate(two_pair_33, phases_for_pixel(two_pair_33, 6), 11.0 / 16.0)
-        vy = closed_form_rate(two_pair_33, phases_for_pixel(two_pair_33, 11), 11.0 / 16.0)
+        vx = closed_form_values(two_pair_33, phases_for_pixel(two_pair_33, 6), 11.0 / 16.0)
+        vy = closed_form_values(two_pair_33, phases_for_pixel(two_pair_33, 11), 11.0 / 16.0)
         assert vx * vy < 1e-12
 
 
@@ -273,7 +276,6 @@ class TestExportText:
 
 
 def test_fundamental_periods(two_pair_33, two_pair_24, chain_47):
-    assert float(fundamental_period(two_pair_33)) == 2.0
-    assert float(fundamental_period(two_pair_24)) == 2.5
-    assert float(fundamental_period(chain_47)) == 4.0
-    assert float(fundamental_period(Geometry((ModePair(1, 5, 1.0),)))) == 0.5
+    single = Geometry((ModePair(1, 5, 1.0),))
+    periods = [PixelSpec.from_geometry(g).period for g in (two_pair_33, two_pair_24, chain_47, single)]
+    assert periods == [2.0, 2.5, 4.0, 0.5]

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from qlitho.exposure import (
     FilmModel,
     exposure_result_text,
+    flip_probability,
     grain_bitmap_text,
     grain_positions,
     required_shots,
@@ -114,6 +117,17 @@ class TestSimulate:
             simulate_exposure(small_plan, film, shots=0, seed=1)
         with pytest.raises(ValueError):
             simulate_exposure(small_plan, film, shots=1, seed=1, repeats=0)
+
+
+class TestFlipProbability:
+    def test_tiny_probability_does_not_underflow(self):
+        # 1 - (1 - 1e-17)**100 rounds to 0.0; the true value is 1e-15
+        assert flip_probability(1e-17, 100) == pytest.approx(1e-15, rel=1e-12)
+
+    def test_certain_and_impossible_flips(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(flip_probability(np.array([0.0, 0.5, 1.0]), 2), [0.0, 0.75, 1.0])
 
 
 class TestRequiredShots:

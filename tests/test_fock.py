@@ -14,8 +14,6 @@ from qlitho.fock import (
     propagate,
     reciprocal_binomial,
     relative_wavevector,
-    state_from_text,
-    state_to_text,
     tensor,
 )
 
@@ -250,27 +248,6 @@ class TestStateValidation:
             MixedState(((0.5, state), (0.6, state)))
         mix = MixedState(((0.5, state), (0.5, state)))
         assert len(mix.components) == 2
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        state = apply_pair_phase(
-            propagate(tensor(reciprocal_binomial(2), reciprocal_binomial(1, 0.5, pair_index=2)), 0.3),
-            2,
-            1.1,
-        )
-        again = state_from_text(state_to_text(state))
-        assert again.geometry == state.geometry
-        assert again.normalized == state.normalized
-        assert set(again.amplitudes) == set(state.amplitudes)
-        for occ, amp in state.amplitudes.items():
-            assert again.amplitudes[occ] == pytest.approx(amp, abs=1e-16)
-
-    def test_rows_sorted_by_occupation(self):
-        text = state_to_text(reciprocal_binomial(2))
-        rows = [l for l in text.splitlines() if not l.startswith("#")]
-        occs = [tuple(int(t) for t in row.split()[:2]) for row in rows]
-        assert occs == sorted(occs)
 
 
 def test_relative_wavevector():

@@ -4,13 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qlitho.deposition import SamplingGrid, closed_form_rate, closed_form_values, profile_brute
+from qlitho.deposition import SamplingGrid, closed_form_values, profile_brute
 from qlitho.fock import Geometry, ModePair
 from qlitho.planner import (
     ExposurePlan,
+    ExposurePlan2D,
     PixelAddress,
     PixelSpec,
     PlanEntry,
+    PlanEntry2D,
     chain_geometry,
     diagonal_intermediates,
     entry_state,
@@ -18,6 +20,7 @@ from qlitho.planner import (
     parse_address,
     partition_table,
     phases_for_pixel,
+    pixel_basis,
     pixel_center,
     pixel_from_levels,
     pixel_levels,
@@ -117,7 +120,7 @@ class TestPhasesForPixel:
             spec = PixelSpec.from_geometry(geometry)
             for p in range(1, spec.pixel_count + 1, 3):
                 phases = phases_for_pixel(geometry, p)
-                assert closed_form_rate(geometry, phases, pixel_center(spec, p)) == pytest.approx(1.0, abs=1e-12)
+                assert closed_form_values(geometry, phases, pixel_center(spec, p)) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_at_all_other_centers(self, two_pair_33):
         spec = PixelSpec.from_geometry(two_pair_33)
@@ -200,6 +203,8 @@ class TestPlans:
     def test_empty_target_set_rejected(self, two_pair_33):
         with pytest.raises(ValueError, match="non-empty"):
             plan_pattern(two_pair_33, [])
+        with pytest.raises(ValueError, match="at least one entry"):
+            ExposurePlan(two_pair_33, ())
 
     def test_weight_validation(self, two_pair_33):
         with pytest.raises(ValueError):
@@ -331,6 +336,37 @@ class TestTwoDimensional:
         assert values[1, 0] == pytest.approx(0.5, abs=1e-9)
         assert values[0, 0] < 1e-12
         assert values[1, 1] < 1e-12
+
+    def test_2d_rate_matches_per_entry_outer_products(self, chain_47, rng):
+        # unequal weights, a repeated (x, y) cell, a repeated x address and
+        # the half-step intermediates that smooth a diagonal
+        cells = [(3, 5), (7, 5), (3, 5), (3, 9), (12, 1), (4, 6)]
+        addresses = [(PixelAddress(x, "x"), PixelAddress(y, "y")) for x, y in cells]
+        addresses += diagonal_intermediates([(3, 5), (4, 6)])
+        weights = rng.uniform(0.1, 1.0, size=len(addresses))
+        weights /= weights.sum()
+        plan = ExposurePlan2D(
+            chain_47, [PlanEntry2D(w, ax, ay) for w, (ax, ay) in zip(weights, addresses)]
+        )
+        spec = PixelSpec.from_geometry(chain_47)
+        xs = np.linspace(0.0, spec.period, 301)
+        ys = np.linspace(0.5, spec.period + 0.5, 257)
+        expected = np.zeros((xs.size, ys.size))
+        for entry in plan.entries:
+            vx = closed_form_values(chain_47, phases_for_pixel(chain_47, entry.x_address), xs)
+            vy = closed_form_values(chain_47, phases_for_pixel(chain_47, entry.y_address), ys)
+            expected += entry.weight * np.outer(vx, vy)
+        got = plan_rate_values_2d(plan, xs, ys)
+        assert got.min() >= 0.0
+        assert np.abs(got - expected).max() <= 1e3 * np.finfo(float).eps * expected.max()
+
+    def test_pixel_basis_rows_are_single_pixel_rates(self, two_pair_33):
+        xs = np.linspace(0.0, 2.0, 65)
+        pixels = [1, 6, PixelAddress(6, intermediate=True)]
+        basis = pixel_basis(two_pair_33, pixels, xs)
+        assert basis.shape == (3, 65)
+        for row, pixel in zip(basis, pixels):
+            assert np.array_equal(row, closed_form_values(two_pair_33, phases_for_pixel(two_pair_33, pixel), xs))
 
     def test_diagonal_intermediates(self):
         out = diagonal_intermediates([(1, 1), (2, 2), (3, 3)])
