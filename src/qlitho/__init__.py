@@ -11,7 +11,7 @@ from .deposition import (
     profile_brute,
     profile_closed,
 )
-from .exposure import ExposureResult, FilmModel, required_shots, simulate_exposure
+from .exposure import ExposureResult, FilmModel, simulate_exposure
 from .fock import (
     Geometry,
     MixedState,
@@ -31,6 +31,7 @@ from .imperfections import (
     fwhm,
     lossy_mixture,
     lower_order_profile,
+    plan_fock_values,
     top_harmonic_index,
 )
 from .planner import (

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import deposition, exposure, imperfections, planner, verify
-from .fock import MixedState
 from .config import (
     ENGINE_CHOICES,
     NORMALIZE_CHOICES,
@@ -152,17 +151,9 @@ def cmd_rate(args) -> int:
         closed_profile = planner.plan_profile(plan, grid, mode)
         outputs["profile_closed.csv"] = deposition.profile_text(closed_profile, header)
     if cfg.engine in ("brute", "both"):
-        source = planner.plan_mixture(plan)
-        if cfg.transmission != 1.0:
-            loss = imperfections.LossModel(cfg.transmission)
-            parts = []
-            for w, component in source.components:
-                parts.extend(
-                    (w * lw, ls)
-                    for lw, ls in imperfections.lossy_mixture(component, loss).components
-                )
-            source = MixedState(tuple(parts))
-        brute_profile = deposition.profile_brute(source, order, grid, mode)
+        loss = imperfections.LossModel(cfg.transmission) if cfg.transmission != 1.0 else None
+        values = imperfections.plan_fock_values(plan, order, grid.points(), loss)
+        brute_profile = deposition.finalize_profile(grid, values, mode)
         outputs["profile_brute.csv"] = deposition.profile_text(brute_profile, header)
     if cfg.two_d:
         base = closed_profile if closed_profile is not None else brute_profile
@@ -309,7 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     rate = sub.add_parser("rate", help="deposition-rate profiles (closed form and/or brute force)")
     common(rate)
-    rate.add_argument("--engine", choices=ENGINE_CHOICES)
+    rate.add_argument(
+        "--engine", choices=ENGINE_CHOICES,
+        help="closed: Dirichlet product (full order, lossless); brute: exact Fock-space "
+        "rates, factorized per mode pair, any order and loss; both: the two and their deviation",
+    )
     rate.set_defaults(func=cmd_rate)
 
     plan = sub.add_parser("plan", help="compile a pixel pattern into an exposure plan")

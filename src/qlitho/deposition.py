@@ -7,6 +7,12 @@ a product of Dirichlet kernels, one per mode pair, and is valid only for
 full-order absorption of the reciprocal-binomial product states.  The two
 must agree after peak normalization; that cross-check is the central
 correctness property of the package.
+
+The engine here is the generic sparse one, exponential in the pair count.
+Plan states are products over pairs, so ``imperfections.plan_fock_values``
+computes their brute-force rates pair by pair in polynomial time; the
+``rate`` command uses it, and this engine stays the independent oracle
+that ``verify`` checks it against.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ scheduling.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,31 +109,6 @@ def simulate_exposure(
         counts=counts,
         grain_bitmap=bitmaps,
     )
-
-
-def required_shots(target_mean: float, absorb_prob: float, peak_rate: float, grains: int) -> int:
-    """Smallest shot count whose expected peak-pixel exposure reaches the target.
-
-    Solves grains * (1 - (1 - q * peak)^S) >= target_mean.  A target above
-    the grain count is unreachable.
-    """
-    if target_mean <= 0:
-        return 0
-    if absorb_prob <= 0 or peak_rate <= 0 or grains < 1:
-        raise ValueError("absorption probability, peak rate, and grain count must be positive")
-    if target_mean > grains:
-        raise ValueError(f"target mean {target_mean} exceeds the {grains}-grain capacity")
-    per_shot = min(absorb_prob * peak_rate, 1.0)
-    if per_shot >= 1.0:
-        return 1
-    remaining = 1.0 - target_mean / grains
-    if remaining <= 0.0:
-        raise ValueError("full saturation is reached only asymptotically; pick a target below the grain count")
-    shots = math.ceil(math.log(remaining) / math.log1p(-per_shot))
-    # Guard the ceiling against boundary roundoff.
-    while shots > 1 and grains * flip_probability(per_shot, shots - 1) >= target_mean:
-        shots -= 1
-    return max(shots, 1)
 
 
 def exposure_result_text(result: ExposureResult, header_lines=()) -> str:

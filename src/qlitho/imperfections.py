@@ -5,6 +5,8 @@ independently with the mode's transmission, and the environment records
 how many photons each mode lost, so the state decoheres into one mixture
 component per loss pattern.  Lower-order absorption is handled by the
 brute-force rate, which sums distinguishable final states incoherently.
+For plan states, which are products over mode pairs, ``plan_fock_values``
+computes that rate pair by pair, loss included.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deposition import DepositionProfile, fourier_harmonics, profile_brute
-from .fock import Geometry, MixedState, PureState
-from .planner import PixelSpec, pixel_center
+from .deposition import DepositionProfile, brute_force_values, fourier_harmonics, profile_brute
+from .fock import Geometry, MixedState, PureState, apply_pair_phase, reciprocal_binomial
+from .planner import ExposurePlan, PixelSpec, pixel_center
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,50 @@ def _merge_component(components: list, weight: float, amps: dict) -> None:
             components[i] = (w + weight, existing)
             return
     components.append((weight, amps))
+
+
+def plan_fock_values(plan: ExposurePlan, order: int, xs, loss: LossModel | None = None) -> np.ndarray:
+    """Brute-force Fock-space rate of a plan at ``xs``, factorized over mode pairs.
+
+    Each plan entry is a product of per-pair reciprocal-binomial states and
+    loss acts mode by mode, so the entry stays a product of per-pair
+    mixtures.  Splitting e = sum_p e_p, the order-K rate is
+    (K!)^2 sum over K_1 + K_2 + ... = K of prod_p rbar_{p,K_p} / (K_p!)^2:
+    different splits leave different photon numbers in the pairs and add
+    without cross terms.  ``rbar_{p,k}`` is pair p's own order-k rate under
+    the 1/sqrt(W) coupling of all W modes, averaged over its loss mixture.
+    The sum over splits is a truncated polynomial product over orders,
+    merged pair by pair with weights (j + k choose k)^2 so that no large
+    factorial is formed; the cost is polynomial in the pair count.  It
+    equals ``brute_force_values`` of the loss-mixed ``plan_mixture`` to
+    roundoff, and is exactly zero where that is (order above the photon
+    number, or no transmission).
+    """
+    if order < 1:
+        raise ValueError("absorption order must be >= 1")
+    xs = np.asarray(xs, dtype=float)
+    geometry = plan.geometry
+    if order > geometry.total_photons:
+        return np.zeros_like(xs)
+    etas = loss.resolve(geometry.mode_count) if loss is not None else None
+    out = np.zeros_like(xs)
+    for entry in plan.entries:
+        acc = np.zeros((order + 1,) + xs.shape)
+        acc[0] = 1.0
+        for pos, (pair, phi) in enumerate(zip(geometry.pairs, entry.phases)):
+            state = apply_pair_phase(
+                reciprocal_binomial(pair.photons, pair.scaling, pair.index), pair.index, -phi
+            )
+            if etas is not None:
+                state = lossy_mixture(state, LossModel(per_mode=etas[2 * pos : 2 * pos + 2]))
+            nxt = acc.copy()
+            for k in range(1, min(pair.photons, order) + 1):
+                rate = (2.0 / geometry.mode_count) ** k * brute_force_values(state, k, xs)
+                merge = np.array([float(math.comb(j + k, k) ** 2) for j in range(order + 1 - k)])
+                nxt[k:] += merge[:, None] * rate * acc[: order + 1 - k]
+            acc = nxt
+        out += entry.weight * acc[order]
+    return out
 
 
 def lower_order_profile(state, order: int, grid) -> DepositionProfile:

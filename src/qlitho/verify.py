@@ -12,10 +12,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import deposition, planner
-from .fock import Geometry, ModePair
+from . import deposition, imperfections, planner
+from .fock import Geometry, MixedState, ModePair
 
 ORACLE_TOL = 1e-9
+FACTORIZED_TOL = 1e-12
 SUM_TOL = 1e-9
 CENTER_TOL = 1e-12
 
@@ -65,6 +66,48 @@ def suite_oracle(samples: int = 2048) -> list[VerifyResult]:
         brute = deposition.profile_brute(state, geometry.total_photons, grid, "peak_unity")
         deviation = float(np.abs(closed.values - brute.values).max())
         results.append(VerifyResult("oracle", name, deviation < ORACLE_TOL, deviation, ORACLE_TOL))
+    return results
+
+
+def generic_plan_values(plan: planner.ExposurePlan, order: int, xs,
+                        loss: imperfections.LossModel | None = None) -> np.ndarray:
+    """Plan rate from the generic sparse engine, the oracle for ``plan_fock_values``.
+
+    Builds the whole-geometry ``plan_mixture``, passes each component
+    through ``lossy_mixture`` and sums ``brute_force_values`` over the
+    result; the cost grows exponentially with the pair count.
+    """
+    source = planner.plan_mixture(plan)
+    if loss is not None:
+        source = MixedState(tuple(
+            (w * lw, lossy)
+            for w, component in source.components
+            for lw, lossy in imperfections.lossy_mixture(component, loss).components
+        ))
+    return deposition.brute_force_values(source, order, xs)
+
+
+def suite_factorized(samples: int = 512) -> list[VerifyResult]:
+    """Per-pair factorized plan rates against the generic engine, relative to the peak.
+
+    The cases cover lower-order absorption, loss, multi-entry plans and an
+    intermediate address.
+    """
+    pair33 = Geometry((ModePair(1, 3, 1.0), ModePair(2, 3, 0.25)))
+    cases = {
+        "two-pair-3-3-order-5": (pair33, ("6", "11"), 5, 1.0),
+        "two-pair-3-3-5i-eta-0.9": (pair33, ("5i",), 6, 0.9),
+        "chain-2-4-order-3-eta-0.85": (planner.chain_geometry(2, 4), ("2", "7", "11"), 3, 0.85),
+    }
+    results = []
+    for name, (geometry, targets, order, eta) in cases.items():
+        plan = planner.plan_pattern(geometry, [planner.parse_address(t) for t in targets])
+        xs = np.linspace(0.0, planner.PixelSpec.from_geometry(geometry).period, samples)
+        loss = imperfections.LossModel(eta) if eta != 1.0 else None
+        generic = generic_plan_values(plan, order, xs, loss)
+        factorized = imperfections.plan_fock_values(plan, order, xs, loss)
+        deviation = float(np.abs(factorized - generic).max() / generic.max())
+        results.append(VerifyResult("factorized", name, deviation < FACTORIZED_TOL, deviation, FACTORIZED_TOL))
     return results
 
 
@@ -124,6 +167,7 @@ def suite_table_one(max_half_photons: int = 5) -> list[VerifyResult]:
 
 SUITES = {
     "oracle": suite_oracle,
+    "factorized": suite_factorized,
     "sum-to-one": suite_sum_to_one,
     "zero-at-centers": suite_zero_at_centers,
     "table-one": suite_table_one,

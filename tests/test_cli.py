@@ -44,6 +44,22 @@ repeats = 3
 """
 
 
+DARK_BASE_CONFIG = """
+[geometry]
+pairs =
+    photons=2 scaling=1
+    photons=1 scaling=1/2
+
+[grid]
+x_min = 0
+x_max = 1
+samples = 41
+
+[plan]
+targets = 2 5i
+"""
+
+
 @pytest.fixture
 def pixel6_config(tmp_path):
     path = tmp_path / "pixel6.ini"
@@ -120,6 +136,33 @@ class TestRate:
         )
         assert main(["rate", "--config", str(path), "--out", str(tmp_path)]) == EXIT_COMPUTE
         assert "computation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", ["[absorption]\norder = 4\n", "[loss]\ntransmission = 0\n"])
+    def test_dark_brute_profile(self, extra, tmp_path, capsys):
+        # An order above the photon number, or no transmission, absorbs nothing.
+        path = tmp_path / "dark.ini"
+        path.write_text(DARK_BASE_CONFIG + "\n" + extra)
+        rate = ["rate", "--config", str(path), "--engine", "brute", "--normalize"]
+        raw_out = tmp_path / "raw"
+        assert main(rate + ["raw", "--out", str(raw_out)]) == EXIT_OK
+        rows = [l for l in (raw_out / "profile_brute.csv").read_text().splitlines() if not l.startswith("#")]
+        assert rows[0] == "x_lambda,rate" and len(rows) == 42
+        assert all(row.split(",")[1] == "0" for row in rows[1:])
+        capsys.readouterr()
+        peak_out = tmp_path / "peak"
+        assert main(rate + ["peak", "--out", str(peak_out)]) == EXIT_COMPUTE
+        assert capsys.readouterr().err == "computation error: peak normalization requires a nonzero profile\n"
+        assert not peak_out.exists()
+
+    @pytest.mark.parametrize("engine", ["brute", "both"])
+    def test_brute_engine_refuses_pixelsum(self, engine, tmp_path, capsys):
+        path = tmp_path / "cfg.ini"
+        path.write_text(DARK_BASE_CONFIG)
+        out = tmp_path / "out"
+        argv = ["rate", "--config", str(path), "--engine", engine, "--normalize", "pixelsum", "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: pixelsum normalization applies to the closed-form engine only\n"
+        assert not out.exists()
 
     def test_out_dir_from_environment(self, pixel6_config, tmp_path, monkeypatch):
         target = tmp_path / "envout"
@@ -248,6 +291,7 @@ class TestVerify:
         assert lines and all(l.startswith("PASS") for l in lines)
         assert any("sum-to-one" in l for l in lines)
         assert any("oracle" in l for l in lines)
+        assert any(l.startswith("PASS factorized ") for l in lines)
 
     def test_single_suite_selection(self, capsys):
         assert main(["verify", "--suite", "table-one"]) == EXIT_OK

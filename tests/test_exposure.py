@@ -9,7 +9,6 @@ from qlitho.exposure import (
     flip_probability,
     grain_bitmap_text,
     grain_positions,
-    required_shots,
     simulate_exposure,
 )
 from qlitho.fock import Geometry, ModePair
@@ -128,38 +127,6 @@ class TestFlipProbability:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.array_equal(flip_probability(np.array([0.0, 0.5, 1.0]), 2), [0.0, 0.75, 1.0])
-
-
-class TestRequiredShots:
-    def test_closed_form_example(self):
-        # 1000 grains at one percent per shot reach 100 expected on shot 11
-        assert required_shots(100.0, 0.01, 1.0, 1000) == 11
-
-    def test_saturating_probability_needs_one_shot(self):
-        assert required_shots(7.0, 1.0, 1.0, 10) == 1
-
-    def test_zero_target_needs_no_shots(self):
-        assert required_shots(0.0, 0.01, 1.0, 1000) == 0
-
-    def test_unreachable_target_rejected(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            required_shots(1001.0, 0.01, 1.0, 1000)
-        with pytest.raises(ValueError):
-            required_shots(1000.0, 0.01, 1.0, 1000)
-
-    @pytest.mark.parametrize("target,prob", [(30.0, 0.003), (500.0, 0.02), (999.0, 0.2)])
-    def test_result_is_minimal(self, target, prob):
-        grains = 1000
-        shots = required_shots(target, prob, 1.0, grains)
-        reach = lambda s: grains * (1.0 - (1.0 - prob) ** s)
-        assert reach(shots) >= target
-        assert reach(shots - 1) < target
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            required_shots(10.0, 0.0, 1.0, 100)
-        with pytest.raises(ValueError):
-            required_shots(10.0, 0.1, -1.0, 100)
 
 
 class TestResultText:

@@ -15,9 +15,12 @@ from contextlib import redirect_stdout
 from io import StringIO
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qlitho import deposition, planner
 from qlitho.cli import main
+from qlitho.config import load_config
 
 PAIR33 = """
 [geometry]
@@ -114,14 +117,14 @@ DIGESTS = {
     },
     'rate-both': {
         'exit': 0,
-        'stdout': '6bb99a9227005cee7af756f10e08936985be170f838deaf8dbc9f1ec8f776dd0',
+        'stdout': '71656b11d741b5f72aa195ab8853f8cb055dc33438f2a679fc22baa1d8e79719',
         'profile_2d.csv': '7261b38ec4ecc296462b06ab5f76a992f3654784008c1d7a56e8bdac1bdfdf46',
-        'profile_brute.csv': 'ccee9312ec0e94bdf5b4ef6dc8e1a5be0ee7f04992e3e1856a68634e3c480df9',
+        'profile_brute.csv': 'c6f4dd80f4770f54769498c700ae9036e22d23e5c6d521b4f264370a6f5d87dd',
         'profile_closed.csv': 'e13263d6b0080cfc61807b494fc2223ef129673ca90f79de9e24172c5b24a1de',
     },
     'verify': {
         'exit': 0,
-        'stdout': '0e476461afe8a2907698eb8d770c16e6ddae6e36ed65d87c8bc759f08042a599',
+        'stdout': 'fd9cbc436fcaa1c709a33021344046e2f4ccf6ef484ebde24a92fc01aa5f6a16',
     },
 }
 
@@ -149,6 +152,21 @@ def run_case(name: str, root: Path) -> dict:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_bytes_unchanged(name, tmp_path):
     assert run_case(name, tmp_path) == DIGESTS[name]
+
+
+def test_brute_profile_matches_generic_engine(tmp_path):
+    """Pins the rates of the ``rate-both`` brute profile, not only its bytes, to
+    the generic sparse engine run on the whole plan mixture."""
+    run_case("rate-both", tmp_path)
+    lines = (tmp_path / "out" / "profile_brute.csv").read_text().splitlines()
+    rows = np.array([[float(v) for v in l.split(",")] for l in lines[lines.index("x_lambda,rate") + 1 :]])
+    cfg = load_config(tmp_path / "both.ini")
+    plan = planner.plan_pattern(cfg.geometry(), [index for index, _ in cfg.targets])
+    grid = deposition.SamplingGrid(cfg.grid.x_min, cfg.grid.x_max, cfg.grid.samples)
+    order = cfg.geometry().total_photons
+    generic = deposition.profile_brute(planner.plan_mixture(plan), order, grid, "peak_unity").values
+    assert np.array_equal(rows[:, 0], grid.points())
+    assert np.abs(rows[:, 1] - generic).max() <= 1e-12 * generic.max()
 
 
 if __name__ == "__main__":
