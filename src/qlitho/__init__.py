@@ -3,7 +3,6 @@
 from .deposition import (
     DepositionProfile,
     SamplingGrid,
-    brute_force_rate,
     brute_force_values,
     closed_form_values,
     fourier_harmonics,
@@ -30,7 +29,6 @@ from .imperfections import (
     degradation_report,
     fwhm,
     lossy_mixture,
-    lower_order_profile,
     plan_fock_values,
     top_harmonic_index,
 )
@@ -45,7 +43,6 @@ from .planner import (
     phases_for_pixel,
     pixel_basis,
     pixel_center,
-    pixel_from_levels,
     pixel_levels,
     plan_mixture,
     plan_pattern,

@@ -15,6 +15,7 @@ import os
 import sys
 import tempfile
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -111,11 +112,28 @@ def _plan_from_config(cfg: RunConfig) -> planner.ExposurePlan:
         addresses = [
             planner.PixelAddress(p, "x", intermediate=inter) for p, inter in cfg.targets
         ]
-        return planner.plan_pattern(geometry, addresses, cfg.weights)
+        return _pixel_plan(geometry, addresses, cfg.weights)
     # No plan section: a single zero-phase entry (unsteered pattern).
     return planner.ExposurePlan(
         geometry, (planner.PlanEntry(1.0, (0.0,) * len(geometry.pairs)),)
     )
+
+
+def _pixel_spec(geometry) -> planner.PixelSpec:
+    """Pixel grid of the configured geometry; one that is not nested has none."""
+    try:
+        return planner.PixelSpec.from_geometry(geometry)
+    except ValueError as exc:
+        raise ConfigError(f"[geometry]: {exc}") from exc
+
+
+def _pixel_plan(geometry, addresses, weights=None) -> planner.ExposurePlan:
+    """``plan_pattern`` over target pixels that exist on the geometry's grid."""
+    count = _pixel_spec(geometry).pixel_count
+    highest = max((a.index for a in addresses), default=1)
+    if highest > count:
+        raise ConfigError(f"target pixel {highest} out of range 1..{count}")
+    return planner.plan_pattern(geometry, addresses, weights)
 
 
 def _grid(cfg: RunConfig) -> deposition.SamplingGrid:
@@ -189,7 +207,7 @@ def cmd_plan(args) -> int:
     geometry = cfg.geometry()
     header = _config_header(cfg)
     out = _out_dir(args, cfg)
-    spec = planner.PixelSpec.from_geometry(geometry)
+    spec = _pixel_spec(geometry)
 
     pattern = _read_pattern(Path(args.pattern)) if args.pattern else None
     if isinstance(pattern, np.ndarray):
@@ -206,13 +224,16 @@ def cmd_plan(args) -> int:
         return EXIT_OK
 
     if pattern is not None:
-        targets = [planner.parse_address(t) for t in pattern]
+        try:
+            targets = [planner.parse_address(t) for t in pattern]
+        except ValueError as exc:
+            raise ConfigError(f"pattern {args.pattern}: {exc}") from exc
         distinct = {(a.index, a.intermediate) for a in targets}
         if len(distinct) > spec.pixel_count:
             raise ConfigError(
                 f"pattern selects {len(distinct)} distinct pixels but the grid has {spec.pixel_count}"
             )
-        plan = planner.plan_pattern(geometry, targets)
+        plan = _pixel_plan(geometry, targets)
     else:
         plan = _plan_from_config(cfg)
     grid = _grid(cfg)
@@ -284,7 +305,9 @@ def cmd_table(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qlitho",
         description="Entangled-state sub-wavelength lithography simulator and planner",

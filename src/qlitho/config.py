@@ -101,13 +101,16 @@ def _parse_pair_line(line: str, lineno: int) -> PairConfig:
         )
     if angle is not None:
         scaling = math.sin(angle)
+    if photons < 0 or not 0.0 < scaling <= 1.0:
+        raise ConfigError(f"[geometry] pairs line {lineno}: need photons >= 0 and scaling in (0, 1]")
     return PairConfig(photons, scaling)
 
 
 def _parse_target(token: str) -> tuple[int, bool]:
-    if token.endswith("i"):
-        return int(token[:-1]), True
-    return int(token), False
+    index = token.removesuffix("i")
+    if not index.isdecimal() or int(index) < 1:
+        raise ConfigError(f"[plan]: target {token!r} is not a pixel index like 6 or 6i")
+    return int(index), index != token
 
 
 def parse_config(text: str) -> RunConfig:

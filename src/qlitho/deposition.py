@@ -27,9 +27,6 @@ from .fock import (
     MixedState,
     PureState,
     absorption_transfer,
-    apply_absorption,
-    norm_sq,
-    propagate,
     relative_wavevector,
 )
 
@@ -134,21 +131,6 @@ def closed_form_values(geometry: Geometry, phases, xs) -> np.ndarray:
 # Brute force: absorb in Fock space
 # ---------------------------------------------------------------------------
 
-def brute_force_rate(state, x: float, order: int) -> float:
-    """Rate as the squared norm of the absorbed, propagated state.
-
-    Summing |amplitude|^2 over the orthogonal final occupation vectors is
-    what makes distinguishable absorption outcomes add without
-    interference, which is the physical behaviour for orders below the
-    total photon number.  Mixtures contribute their weighted average.
-    """
-    if order < 1:
-        raise ValueError("absorption order must be >= 1")
-    if isinstance(state, MixedState):
-        return sum(w * brute_force_rate(s, x, order) for w, s in state.components)
-    return norm_sq(apply_absorption(propagate(state, x), order))
-
-
 def _brute_values_pure(state: PureState, order: int, xs: np.ndarray) -> np.ndarray:
     support = state.support
     if not support:
@@ -164,11 +146,12 @@ def _brute_values_pure(state: PureState, order: int, xs: np.ndarray) -> np.ndarr
 
 
 def brute_force_values(state, order: int, xs) -> np.ndarray:
-    """Vectorized ``brute_force_rate`` over a position array.
+    """Rate at positions ``xs`` as the squared norm of the absorbed, propagated state.
 
-    Identical (to roundoff) to calling the scalar form pointwise: the
-    absorption matrix elements do not depend on position, so the grid
-    sweep factorizes into one cached transfer matrix and a phase matrix.
+    Summing |amplitude|^2 over the orthogonal final occupation vectors makes
+    distinguishable absorption outcomes add without interference, the physical
+    behaviour below full order; mixtures contribute their weighted average.
+    The grid sweep is one cached transfer matrix times a phase matrix.
     """
     if order < 1:
         raise ValueError("absorption order must be >= 1")

@@ -126,9 +126,9 @@ def exposure_result_text(result: ExposureResult, header_lines=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def grain_bitmap_text(result: ExposureResult, repeat: int = 0) -> str:
-    """0/1 grain map of one repeat (one row per pixel), for rendering."""
+def grain_bitmap_text(result: ExposureResult) -> str:
+    """0/1 grain map of the first repeat (one row per pixel), for rendering."""
     if result.grain_bitmap is None:
         raise ValueError("simulation was run without keep_grains=True")
-    rows = result.grain_bitmap[repeat]
+    rows = result.grain_bitmap[0]
     return "\n".join("".join("1" if g else "0" for g in row) for row in rows) + "\n"

@@ -17,29 +17,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deposition import DepositionProfile, brute_force_values, fourier_harmonics, profile_brute
+from .deposition import DepositionProfile, brute_force_values, fourier_harmonics
 from .fock import Geometry, MixedState, PureState, apply_pair_phase, reciprocal_binomial
 from .planner import ExposurePlan, PixelSpec, pixel_center
 
 
+# A top-harmonic ratio below this counts as missing.
+MISSING_HARMONIC_RATIO = 1e-6
+
+
 @dataclass(frozen=True)
 class LossModel:
-    """Per-mode intensity transmission; uniform unless ``per_mode`` is given."""
+    """Intensity transmission, the same for every mode."""
 
     transmission: float = 1.0
-    per_mode: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        for eta in (self.per_mode or (self.transmission,)):
-            if not 0.0 <= eta <= 1.0:
-                raise ValueError(f"transmission must lie in [0, 1], got {eta}")
-
-    def resolve(self, mode_count: int) -> tuple[float, ...]:
-        if self.per_mode is None:
-            return (self.transmission,) * mode_count
-        if len(self.per_mode) != mode_count:
-            raise ValueError(f"expected {mode_count} per-mode transmissions, got {len(self.per_mode)}")
-        return self.per_mode
+        if not 0.0 <= self.transmission <= 1.0:
+            raise ValueError(f"transmission must lie in [0, 1], got {self.transmission}")
 
 
 @dataclass(frozen=True)
@@ -79,7 +74,7 @@ def lossy_mixture(state: PureState, loss: LossModel) -> MixedState:
     proportional (same ray) are merged, so eta = 0 collapses to the vacuum
     with weight one.  Weights sum to one exactly.
     """
-    etas = loss.resolve(state.geometry.mode_count)
+    eta = loss.transmission
     support = state.amplitudes
     if not support:
         raise ValueError("cannot apply loss to the zero state")
@@ -89,7 +84,7 @@ def lossy_mixture(state: PureState, loss: LossModel) -> MixedState:
         amps: dict[tuple[int, ...], complex] = {}
         for occ, amp in support.items():
             weight = 1.0
-            for n, lost, eta in zip(occ, pattern, etas):
+            for n, lost in zip(occ, pattern):
                 if lost > n:
                     weight = 0.0
                     break
@@ -157,17 +152,16 @@ def plan_fock_values(plan: ExposurePlan, order: int, xs, loss: LossModel | None 
     geometry = plan.geometry
     if order > geometry.total_photons:
         return np.zeros_like(xs)
-    etas = loss.resolve(geometry.mode_count) if loss is not None else None
     out = np.zeros_like(xs)
     for entry in plan.entries:
         acc = np.zeros((order + 1,) + xs.shape)
         acc[0] = 1.0
-        for pos, (pair, phi) in enumerate(zip(geometry.pairs, entry.phases)):
+        for pair, phi in zip(geometry.pairs, entry.phases):
             state = apply_pair_phase(
                 reciprocal_binomial(pair.photons, pair.scaling, pair.index), pair.index, -phi
             )
-            if etas is not None:
-                state = lossy_mixture(state, LossModel(per_mode=etas[2 * pos : 2 * pos + 2]))
+            if loss is not None:
+                state = lossy_mixture(state, loss)
             nxt = acc.copy()
             for k in range(1, min(pair.photons, order) + 1):
                 rate = (2.0 / geometry.mode_count) ** k * brute_force_values(state, k, xs)
@@ -176,24 +170,6 @@ def plan_fock_values(plan: ExposurePlan, order: int, xs, loss: LossModel | None 
             acc = nxt
         out += entry.weight * acc[order]
     return out
-
-
-def lower_order_profile(state, order: int, grid) -> DepositionProfile:
-    """Peak-normalized brute-force profile for absorption below full order."""
-    total = _total_photons(state)
-    if order < 1:
-        raise ValueError("absorption order must be >= 1")
-    if order >= total:
-        raise ValueError(
-            f"order {order} is not below the photon number {total}; use the full-order path"
-        )
-    return profile_brute(state, order, grid, normalization="peak_unity")
-
-
-def _total_photons(state) -> int:
-    if isinstance(state, MixedState):
-        return max(s.geometry.total_photons for _, s in state.components)
-    return state.geometry.total_photons
 
 
 def top_harmonic_index(geometry: Geometry) -> int:
@@ -240,7 +216,6 @@ def degradation_report(
     reference: DepositionProfile,
     geometry: Geometry,
     targets=None,
-    missing_threshold: float = 1e-6,
 ) -> DegradationReport:
     """Compare a (possibly degraded) profile against the intended exposure.
 
@@ -291,7 +266,7 @@ def degradation_report(
         exposure_penalty=penalty / peak,
         offtarget_max=offband / peak,
         offtarget_dose_fraction=dose_fraction,
-        missing_top_harmonic=ratio < missing_threshold,
+        missing_top_harmonic=ratio < MISSING_HARMONIC_RATIO,
         top_harmonic_ratio=ratio,
     )
 
@@ -303,22 +278,6 @@ def _interp_periodic(profile: DepositionProfile, position: float, period: float)
     if folded > profile.grid.x_min + span:
         folded -= period
     return float(np.interp(folded, xs, profile.values))
-
-
-def degradation_records_text(records, header_lines=()) -> str:
-    """One structured record line per absorption order.
-
-    ``records`` is an iterable of ``(order, DegradationReport)``.
-    """
-    lines = [f"# {line}" for line in header_lines]
-    lines.append("order,fwhm_lambda,penalty_at_centers,offtarget_max,offtarget_dose_fraction,top_harmonic_ratio,missing_top_harmonic")
-    for order, report in records:
-        lines.append(
-            f"{order},{format(report.fwhm, '.17g')},{format(report.exposure_penalty, '.17g')},"
-            f"{format(report.offtarget_max, '.17g')},{format(report.offtarget_dose_fraction, '.17g')},"
-            f"{format(report.top_harmonic_ratio, '.17g')},{str(report.missing_top_harmonic).lower()}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def _cyclic_runs(pixels, count):

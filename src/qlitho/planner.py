@@ -42,17 +42,15 @@ class PixelAddress:
 class PixelSpec:
     """Pixel grid parameters of a nested geometry.
 
-    ``pixel_count * pixel_width == period`` always holds.  For chain
-    geometries (one resolution pair plus single-photon doubling pairs)
-    ``doubling_pairs`` is set and ``pixel_count == 2**doubling_pairs *
-    (resolution_photons + 1)``.
+    ``pixel_count`` is the product of ``photons + 1`` over the pairs, the
+    pixel width is set by the first pair, and ``pixel_count * pixel_width
+    == period`` always holds.
     """
 
     resolution_photons: int
     pixel_count: int
     pixel_width: float
     period: float
-    doubling_pairs: int | None = None
 
     @staticmethod
     def from_geometry(geometry: Geometry) -> "PixelSpec":
@@ -69,10 +67,7 @@ class PixelSpec:
             prev = pair.scaling
             count *= pair.photons + 1
         width = 1.0 / (2.0 * pairs[0].scaling * (pairs[0].photons + 1))
-        doubling = None
-        if all(p.photons == 1 for p in pairs[1:]):
-            doubling = len(pairs) - 1
-        return PixelSpec(pairs[0].photons, count, width, count * width, doubling)
+        return PixelSpec(pairs[0].photons, count, width, count * width)
 
 
 def chain_geometry(resolution_photons: int, total_photons: int) -> Geometry:
@@ -145,12 +140,6 @@ def pixel_levels(index: int, photons_1: int, photons_2: int) -> tuple[int, int]:
     return l1, l2
 
 
-def pixel_from_levels(l1: int, l2: int, photons_1: int, photons_2: int) -> int:
-    """Pixel index addressed by level multiples (l1, l2), wrapped onto 1..count."""
-    size = (photons_1 + 1) * (photons_2 + 1)
-    return (l1 + (photons_1 + 1) * l2 - 1) % size + 1
-
-
 # ---------------------------------------------------------------------------
 # Exposure plans
 # ---------------------------------------------------------------------------
@@ -178,10 +167,6 @@ class ExposurePlan:
         total = sum(e.weight for e in self.entries)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"entry weights sum to {total!r}, expected 1")
-
-    @property
-    def addresses(self) -> tuple[PixelAddress | None, ...]:
-        return tuple(e.address for e in self.entries)
 
 
 def plan_pattern(geometry: Geometry, targets, weights=None) -> ExposurePlan:
@@ -347,7 +332,7 @@ class ExposurePlan2D:
             raise ValueError(f"entry weights sum to {total!r}, expected 1")
 
 
-def plan_bitmap(geometry: Geometry, bitmap, weights=None) -> ExposurePlan2D:
+def plan_bitmap(geometry: Geometry, bitmap) -> ExposurePlan2D:
     """Plan from a 0/1 bitmap; rows index y pixels, columns index x pixels.
 
     Row 0 is the top of the image (largest y), so a bitmap prints the way
@@ -368,12 +353,9 @@ def plan_bitmap(geometry: Geometry, bitmap, weights=None) -> ExposurePlan2D:
     ]
     if not cells:
         raise ValueError("bitmap selects no pixels")
-    if weights is None:
-        weights = [1.0] * len(cells)
-    total = float(sum(weights))
     entries = tuple(
-        PlanEntry2D(w / total, PixelAddress(px, "x"), PixelAddress(py, "y"))
-        for w, (px, py) in zip(weights, cells)
+        PlanEntry2D(1.0 / len(cells), PixelAddress(px, "x"), PixelAddress(py, "y"))
+        for px, py in cells
     )
     return ExposurePlan2D(geometry, entries)
 
@@ -430,13 +412,11 @@ def _format_address(address: PixelAddress | None) -> str:
     return f"{address.index}i" if address.intermediate else str(address.index)
 
 
-def parse_address(token: str, axis: str = "x") -> PixelAddress | None:
-    """Parse ``"6"`` / ``"6i"`` (intermediate) / ``"-"`` (no address)."""
-    if token == "-":
-        return None
+def parse_address(token: str) -> PixelAddress:
+    """Parse ``"6"`` or ``"6i"`` (intermediate)."""
     if token.endswith("i"):
-        return PixelAddress(int(token[:-1]), axis, intermediate=True)
-    return PixelAddress(int(token), axis)
+        return PixelAddress(int(token[:-1]), intermediate=True)
+    return PixelAddress(int(token))
 
 
 def _geometry_lines(geometry: Geometry) -> list[str]:
@@ -446,15 +426,6 @@ def _geometry_lines(geometry: Geometry) -> list[str]:
             f"pair {pair.index} photons {pair.photons} scaling {format(pair.scaling, '.17g')}"
         )
     return lines
-
-
-def _parse_geometry_lines(lines) -> Geometry:
-    pairs = []
-    for line in lines:
-        fields = line.split()
-        if fields and fields[0] == "pair":
-            pairs.append(ModePair(int(fields[1]), int(fields[3]), float(fields[5])))
-    return Geometry(tuple(pairs))
 
 
 def plan_to_text(plan: ExposurePlan) -> str:
@@ -485,21 +456,6 @@ def plan_to_text(plan: ExposurePlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def plan_from_text(text: str) -> ExposurePlan:
-    lines = [l.strip() for l in text.splitlines() if l.strip() and not l.startswith("#")]
-    geometry = _parse_geometry_lines(lines)
-    entries = []
-    for line in lines:
-        if not line.startswith("entry "):
-            continue
-        fields = dict(tok.split("=", 1) for tok in line.split()[1:])
-        phases = tuple(float(t) * _TWO_PI for t in fields["phase_turns"].split(","))
-        entries.append(
-            PlanEntry(float(fields["weight"]), phases, parse_address(fields["target"]))
-        )
-    return ExposurePlan(geometry, tuple(entries))
-
-
 def plan2d_to_text(plan: ExposurePlan2D) -> str:
     lines = ["# exposure plan 2d"]
     lines.extend(_geometry_lines(plan.geometry))
@@ -511,21 +467,3 @@ def plan2d_to_text(plan: ExposurePlan2D) -> str:
             f"x={_format_address(entry.x_address)} y={_format_address(entry.y_address)}"
         )
     return "\n".join(lines) + "\n"
-
-
-def plan2d_from_text(text: str) -> ExposurePlan2D:
-    lines = [l.strip() for l in text.splitlines() if l.strip() and not l.startswith("#")]
-    geometry = _parse_geometry_lines(lines)
-    entries = []
-    for line in lines:
-        if not line.startswith("entry "):
-            continue
-        fields = dict(tok.split("=", 1) for tok in line.split()[1:])
-        entries.append(
-            PlanEntry2D(
-                float(fields["weight"]),
-                parse_address(fields["x"], "x"),
-                parse_address(fields["y"], "y"),
-            )
-        )
-    return ExposurePlan2D(geometry, tuple(entries))

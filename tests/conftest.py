@@ -4,6 +4,17 @@ import pytest
 from qlitho import Geometry, ModePair, chain_geometry
 
 
+def nested_geometry(photons) -> Geometry:
+    """Each pair scales by 1/(photons + 1) of its predecessor."""
+    scaling = 1.0
+    pairs = []
+    for i, n in enumerate(photons):
+        if i:
+            scaling /= n + 1
+        pairs.append(ModePair(i + 1, n, scaling))
+    return Geometry(tuple(pairs))
+
+
 @pytest.fixture
 def two_pair_33():
     """Two equal three-photon pairs, the second nested at quarter scaling."""

@@ -2,7 +2,7 @@ import re
 
 import pytest
 
-from qlitho.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, main
+from qlitho.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, build_parser, main
 from qlitho.planner import partition_table
 
 PIXEL6_CONFIG = """
@@ -57,6 +57,20 @@ samples = 41
 
 [plan]
 targets = 2 5i
+"""
+
+
+TWELVE_PIXEL_CONFIG = """
+[geometry]
+pairs =
+    photons=2 scaling=1
+    photons=1 scaling=1/2
+    photons=1 scaling=1/4
+
+[grid]
+x_min = 0
+x_max = 3
+samples = 33
 """
 
 
@@ -255,6 +269,37 @@ class TestOutputErrors:
         assert "cannot write output" in capsys.readouterr().err
 
 
+class TestInputErrors:
+    """Invalid input exits 2 with an ``error:`` line and leaves no output behind."""
+
+    def assert_refused(self, argv, config_text, tmp_path, capsys, message):
+        config = tmp_path / "cfg.ini"
+        config.write_text(config_text)
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(config), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_scaling_above_one(self, tmp_path, capsys):
+        text = PIXEL6_CONFIG.replace("scaling=1/4", "scaling=1.5")
+        self.assert_refused(["rate"], text, tmp_path, capsys, "scaling in (0, 1]")
+
+    def test_target_beyond_pixel_count(self, tmp_path, capsys):
+        text = TWELVE_PIXEL_CONFIG + "\n[plan]\ntargets = 99\n"
+        self.assert_refused(["rate"], text, tmp_path, capsys, "pixel 99 out of range 1..12")
+
+    def test_pixel_targets_on_unnested_geometry(self, tmp_path, capsys):
+        text = PIXEL6_CONFIG.replace("scaling=1/4", "scaling=1/2")
+        self.assert_refused(["rate"], text, tmp_path, capsys, "nested")
+
+    def test_pattern_token_not_a_pixel(self, tmp_path, capsys):
+        pattern = tmp_path / "pattern.txt"
+        pattern.write_text("1 abc 3\n")
+        argv = ["plan", "--pattern", str(pattern)]
+        self.assert_refused(argv, PIXEL6_CONFIG, tmp_path, capsys, "'abc'")
+
+
 class TestExpose:
     def test_exposure_runs_and_is_deterministic(self, trench_config, tmp_path):
         out_a = tmp_path / "a"
@@ -302,6 +347,15 @@ class TestVerify:
         with pytest.raises(SystemExit) as err:
             main(["verify", "--suite", "nonsense"])
         assert err.value.code == EXIT_CONFIG
+
+
+class TestParser:
+    def test_built_once_and_usage_errors_still_exit_2(self):
+        assert build_parser() is build_parser()
+        for _ in range(2):
+            with pytest.raises(SystemExit) as err:
+                main(["rate", "--engine", "nonsense"])
+            assert err.value.code == EXIT_CONFIG
 
 
 class TestTable:

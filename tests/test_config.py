@@ -69,6 +69,16 @@ class TestParse:
         cfg = parse_config("[plan]\ntargets = 3 4i\n")
         assert cfg.targets == ((3, False), (4, True))
 
+    @pytest.mark.parametrize("token", ["abc", "0", "-3", "4ii", "i"])
+    def test_target_must_be_a_pixel_index(self, token):
+        with pytest.raises(ConfigError, match="pixel index"):
+            parse_config(f"[plan]\ntargets = 2 {token}\n")
+
+    @pytest.mark.parametrize("pair", ["photons=3 scaling=1.5", "photons=-1 scaling=1", "photons=1 angle=-0.5"])
+    def test_pair_outside_physical_range(self, pair):
+        with pytest.raises(ConfigError, match="scaling in"):
+            parse_config(f"[geometry]\npairs = {pair}\n")
+
     def test_weight_count_checked(self):
         with pytest.raises(ConfigError, match="weights"):
             parse_config("[plan]\ntargets = 1 2\nweights = 0.5\n")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlitho.fock import Geometry, ModePair
+from conftest import nested_geometry
 from qlitho.imperfections import LossModel, plan_fock_values
 from qlitho.planner import ExposurePlan, PixelAddress, PixelSpec, PlanEntry, plan_pattern, plan_rate_values
 from qlitho.verify import FACTORIZED_TOL, generic_plan_values
@@ -22,16 +22,6 @@ from qlitho.verify import FACTORIZED_TOL, generic_plan_values
 # basis states, and its lossless transfer build grows with prod_p (N_p + 1).
 LOSSLESS_SUPPORT_CAP = 64
 LOSSY_SUPPORT_CAP = 16
-
-
-def nested_geometry(photons) -> Geometry:
-    scaling = 1.0
-    pairs = []
-    for i, n in enumerate(photons):
-        if i:
-            scaling /= n + 1
-        pairs.append(ModePair(i + 1, n, scaling))
-    return Geometry(tuple(pairs))
 
 
 def positions(geometry, samples=65):
@@ -50,10 +40,10 @@ def assert_engines_agree(plan, order, xs, loss):
 
 
 class TestAgreement:
-    def test_per_mode_transmissions(self):
+    def test_weighted_plan_with_intermediate_under_loss(self):
         geometry = nested_geometry((2, 1, 1))
         plan = plan_pattern(geometry, [3, PixelAddress(8, intermediate=True)], [2.0, 1.0])
-        loss = LossModel(per_mode=(0.9, 0.6, 1.0, 0.8, 0.75, 0.95))
+        loss = LossModel(0.8)
         for order in (1, 2, 4):
             assert_engines_agree(plan, order, positions(geometry), loss)
 

@@ -4,7 +4,10 @@ Each case runs one command on a fixed config and compares the SHA-256
 digest of every output file, of stdout and the exit code against values
 recorded from a known-good build.  A refactor that claims "same numbers"
 must leave these digests alone; a deliberate format or numerics change
-updates them, and says so.  To print fresh digests after such a change:
+updates them, and says so.  Printed deviations that are pure roundoff
+are checked against a fixed bound and replaced by a placeholder before
+hashing, so their last digits are not pinned.  To print fresh digests
+after a deliberate change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -110,14 +113,14 @@ DIGESTS = {
     },
     'plan-negative': {
         'exit': 0,
-        'stdout': '0247791b4e15f2a91ae78b25c3be97fb2b17da6f06a337bfffc89701e0e4a07c',
+        'stdout': '81a245c6f14fe8000f0ea7074af7491e3c934279a316591655eae58a3c8df0a3',
         'plan.txt': '3b9202cb1a48a08710f7403702c83f0c457cccbaabe046c41d527b44c700a4e2',
         'plan_profile.csv': '4a826458c4a8e320c4e2e738ef9ee0541534c2b606090bda5b075b16df7d93f5',
         'plan_report.txt': '3a0316305ad0f30d6afd9daa5d1254fb034bb6d3e611e4af39da4bd32d9c70e7',
     },
     'rate-both': {
         'exit': 0,
-        'stdout': '71656b11d741b5f72aa195ab8853f8cb055dc33438f2a679fc22baa1d8e79719',
+        'stdout': '805d0d0cef0e80927dde85fbdcfffaab8577352042b7270fd4afe6f638e4adb5',
         'profile_2d.csv': '7261b38ec4ecc296462b06ab5f76a992f3654784008c1d7a56e8bdac1bdfdf46',
         'profile_brute.csv': 'c6f4dd80f4770f54769498c700ae9036e22d23e5c6d521b4f264370a6f5d87dd',
         'profile_closed.csv': 'e13263d6b0080cfc61807b494fc2223ef129673ca90f79de9e24172c5b24a1de',
@@ -127,6 +130,25 @@ DIGESTS = {
         'stdout': 'fd9cbc436fcaa1c709a33021344046e2f4ccf6ef484ebde24a92fc01aa5f6a16',
     },
 }
+
+
+# stdout lines whose number is a roundoff deviation, and the bound it must meet
+ROUNDOFF_PREFIXES = (
+    "max |closed - brute| after peak normalization: ",
+    "sum check: max |original + negative - 1| = ",
+)
+ROUNDOFF_BOUND = 1e-12
+
+
+def mask_roundoff(stdout: str) -> str:
+    lines = []
+    for line in stdout.splitlines(keepends=True):
+        for prefix in ROUNDOFF_PREFIXES:
+            if line.startswith(prefix):
+                assert float(line[len(prefix):]) <= ROUNDOFF_BOUND, line
+                line = prefix + "<roundoff>\n"
+        lines.append(line)
+    return "".join(lines)
 
 
 def run_case(name: str, root: Path) -> dict:
@@ -142,7 +164,7 @@ def run_case(name: str, root: Path) -> dict:
         code = main(argv)
     record = {
         "exit": code,
-        "stdout": hashlib.sha256(stdout.getvalue().replace(str(out), "<out>").encode()).hexdigest(),
+        "stdout": hashlib.sha256(mask_roundoff(stdout.getvalue().replace(str(out), "<out>")).encode()).hexdigest(),
     }
     for path in sorted(out.glob("*")) if out.exists() else ():
         record[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()

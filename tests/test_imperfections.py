@@ -12,11 +12,9 @@ from qlitho.fock import Geometry, ModePair, norm_sq, reciprocal_binomial
 from qlitho.imperfections import (
     DegradationReport,
     LossModel,
-    degradation_records_text,
     degradation_report,
     fwhm,
     lossy_mixture,
-    lower_order_profile,
     top_harmonic_index,
 )
 from qlitho.planner import entry_state, phases_for_pixel, plan_pattern, plan_profile
@@ -41,13 +39,7 @@ class TestLossModel:
         with pytest.raises(ValueError):
             LossModel(1.2)
         with pytest.raises(ValueError):
-            LossModel(per_mode=(0.5, -0.1))
-
-    def test_per_mode_length_checked(self):
-        model = LossModel(per_mode=(0.9, 0.8))
-        assert model.resolve(2) == (0.9, 0.8)
-        with pytest.raises(ValueError):
-            model.resolve(4)
+            LossModel(-0.1)
 
 
 class TestLossyMixture:
@@ -109,19 +101,10 @@ class TestLossyMixture:
 
 
 class TestLowerOrderProfile:
-    def test_order_bounds_validated(self, grazing_four):
-        _, state = grazing_four
-        grid = SamplingGrid(0.0, 0.5, 64)
-        with pytest.raises(ValueError, match="full-order"):
-            lower_order_profile(state, 4, grid)
-        with pytest.raises(ValueError):
-            lower_order_profile(state, 0, grid)
-
     def test_fwhm_strictly_widens_as_order_drops(self, grazing_four):
         geometry, state = grazing_four
         grid = SamplingGrid(0.0, 0.5, 2001)
-        widths = [fwhm(profile_brute(state, 4, grid, "peak_unity"))]
-        widths += [fwhm(lower_order_profile(state, k, grid)) for k in (3, 2, 1)]
+        widths = [fwhm(profile_brute(state, k, grid, "peak_unity")) for k in (4, 3, 2, 1)]
         assert widths[0] < widths[1] < widths[2] < widths[3]
 
     def test_single_photon_absorption_is_half_wave_fringe(self):
@@ -129,7 +112,7 @@ class TestLowerOrderProfile:
         # carries nothing beyond the first harmonic of the lambda/2 period
         state = reciprocal_binomial(5)
         grid = SamplingGrid(0.0, 0.5, 513)
-        profile = lower_order_profile(state, 1, grid)
+        profile = profile_brute(state, 1, grid, "peak_unity")
         mags = fourier_harmonics(profile, 0.5, 5)
         assert mags[1] > 1e-2 * mags[0]
         assert np.all(mags[2:] < 1e-9 * mags[0])
@@ -141,7 +124,7 @@ class TestLowerOrderProfile:
         reports = {}
         for order in (1, 2, 3):
             reports[order] = degradation_report(
-                lower_order_profile(state, order, grid), reference, geometry, targets=[3]
+                profile_brute(state, order, grid, "peak_unity"), reference, geometry, targets=[3]
             )
         reports[4] = degradation_report(reference, reference, geometry, targets=[3])
         for low, high in ((1, 2), (2, 3), (3, 4)):
@@ -167,7 +150,7 @@ class TestDegradationReport:
         full = degradation_report(reference, reference, geometry, targets=[3])
         assert full.top_harmonic_ratio > 1e-3
         reduced = degradation_report(
-            lower_order_profile(state, 3, grid), reference, geometry, targets=[3]
+            profile_brute(state, 3, grid, "peak_unity"), reference, geometry, targets=[3]
         )
         assert reduced.missing_top_harmonic
         assert reduced.top_harmonic_ratio < 1e-9
@@ -186,10 +169,10 @@ class TestDegradationReport:
         ref6 = profile_brute(state6, 4, grid6, "peak_unity")
         for order in (3, 2, 1):
             two_mode = degradation_report(
-                lower_order_profile(state2, order, grid2), ref2, geom2, targets=[3]
+                profile_brute(state2, order, grid2, "peak_unity"), ref2, geom2, targets=[3]
             )
             six_mode = degradation_report(
-                lower_order_profile(state6, order, grid6), ref6, geom6, targets=[7]
+                profile_brute(state6, order, grid6, "peak_unity"), ref6, geom6, targets=[7]
             )
             assert six_mode.offtarget_dose_fraction > two_mode.offtarget_dose_fraction
 
@@ -230,26 +213,6 @@ class TestDegradationReport:
             DegradationReport(0.0, 0.1, 0.1, 0.1, False, 1.0)
         with pytest.raises(ValueError):
             DegradationReport(0.1, -0.1, 0.1, 0.1, False, 1.0)
-
-
-class TestRecordsText:
-    def test_one_record_per_order(self, grazing_four):
-        geometry, state = grazing_four
-        grid = SamplingGrid(0.0, 0.5, 2001)
-        reference = profile_brute(state, 4, grid, "peak_unity")
-        records = [
-            (k, degradation_report(lower_order_profile(state, k, grid), reference, geometry, targets=[3]))
-            for k in (3, 2, 1)
-        ]
-        text = degradation_records_text(records, ["four-photon pair"])
-        lines = text.splitlines()
-        assert lines[0] == "# four-photon pair"
-        assert lines[1].startswith("order,fwhm_lambda")
-        assert len(lines) == 2 + 3
-        order, width, *_, missing = lines[2].split(",")
-        assert order == "3"
-        assert float(width) > 0
-        assert missing == "true"
 
 
 class TestFwhm:

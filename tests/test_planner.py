@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import nested_geometry
 from qlitho.deposition import SamplingGrid, closed_form_values, profile_brute
 from qlitho.fock import Geometry, ModePair
 from qlitho.planner import (
@@ -22,12 +24,9 @@ from qlitho.planner import (
     phases_for_pixel,
     pixel_basis,
     pixel_center,
-    pixel_from_levels,
     pixel_levels,
-    plan2d_from_text,
     plan2d_to_text,
     plan_bitmap,
-    plan_from_text,
     plan_mixture,
     plan_pattern,
     plan_profile,
@@ -38,6 +37,10 @@ from qlitho.planner import (
 
 TWO_PI = 2.0 * math.pi
 
+# Randomized nested geometries: 1-4 pairs holding 1-4 photons each.
+PAIR_PHOTONS = st.lists(st.integers(1, 4), min_size=1, max_size=4)
+RANDOMIZED = settings(derandomize=True, deadline=None, max_examples=40)
+
 
 class TestChainGeometry:
     def test_four_seven_chain(self, chain_47):
@@ -47,7 +50,6 @@ class TestChainGeometry:
         assert spec.pixel_count == 40
         assert spec.pixel_width == pytest.approx(1.0 / 10.0)
         assert spec.period == pytest.approx(4.0)
-        assert spec.doubling_pairs == 3
 
     def test_single_pair_when_no_extra_photons(self):
         geometry = chain_geometry(3, 3)
@@ -162,13 +164,16 @@ class TestPixelLevels:
         # index equal to l1 alone comes from l2 at its maximum, wrapped
         for l1 in range(1, 5):
             assert pixel_levels(l1, 3, 3) == (l1, 4)
-            assert pixel_from_levels(l1, 4, 3, 3) == l1
 
-    def test_round_trip_all_pixels(self):
-        for p in range(1, 17):
-            l1, l2 = pixel_levels(p, 3, 3)
-            assert 1 <= l1 <= 4 and 1 <= l2 <= 4
-            assert pixel_from_levels(l1, l2, 3, 3) == p
+    @RANDOMIZED
+    @given(st.integers(1, 4), st.integers(1, 4))
+    def test_round_trip_all_pixels(self, photons_1, photons_2):
+        # levels in range and index = l1 + (photons_1 + 1) l2 modulo the pixel count
+        size = (photons_1 + 1) * (photons_2 + 1)
+        for p in range(1, size + 1):
+            l1, l2 = pixel_levels(p, photons_1, photons_2)
+            assert 1 <= l1 <= photons_1 + 1 and 1 <= l2 <= photons_2 + 1
+            assert (l1 + (photons_1 + 1) * l2 - p) % size == 0
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -292,14 +297,22 @@ class TestPartitionTable:
 class TestPlanSerialization:
     def test_round_trip(self, two_pair_33):
         plan = plan_pattern(two_pair_33, [6, PixelAddress(3, intermediate=True)], weights=[2.0, 1.0])
-        text = plan_to_text(plan)
-        again = plan_from_text(text)
-        assert again.geometry == plan.geometry
-        assert len(again.entries) == 2
-        for a, b in zip(again.entries, plan.entries):
-            assert a.weight == pytest.approx(b.weight)
-            assert a.address == b.address
-            assert np.allclose(a.phases, b.phases, atol=1e-12)
+        lines = plan_to_text(plan).splitlines()
+        assert lines[:5] == [
+            "# exposure plan",
+            "pairs 2",
+            "pair 1 photons 3 scaling 1",
+            "pair 2 photons 3 scaling 0.25",
+            "pixels 16",
+        ]
+        assert len(lines) == 7
+        fields = [dict(tok.split("=", 1) for tok in line.split()[1:]) for line in lines[5:]]
+        assert [f["target"] for f in fields] == ["6", "3i"]
+        assert [f.get("levels") for f in fields] == ["2,1", None]
+        for f, entry in zip(fields, plan.entries):
+            assert float(f["weight"]) == entry.weight
+            phases = [float(t) * TWO_PI for t in f["phase_turns"].split(",")]
+            assert np.allclose(phases, entry.phases, atol=1e-12)
 
     def test_levels_label_present_for_two_pairs(self, two_pair_33):
         text = plan_to_text(plan_pattern(two_pair_33, [6]))
@@ -309,7 +322,8 @@ class TestPlanSerialization:
     def test_address_tokens(self):
         assert parse_address("6") == PixelAddress(6)
         assert parse_address("6i") == PixelAddress(6, intermediate=True)
-        assert parse_address("-") is None
+        with pytest.raises(ValueError):
+            parse_address("-")
 
 
 class TestTwoDimensional:
@@ -376,11 +390,19 @@ class TestTwoDimensional:
 
     def test_2d_serialization_round_trip(self, two_pair_33):
         plan = plan_bitmap(two_pair_33, [[1, 1], [0, 1]])
-        again = plan2d_from_text(plan2d_to_text(plan))
-        assert again.geometry == plan.geometry
-        assert [(e.x_address.index, e.y_address.index) for e in again.entries] == [
-            (e.x_address.index, e.y_address.index) for e in plan.entries
+        lines = plan2d_to_text(plan).splitlines()
+        third = format(1 / 3, ".17g")
+        assert lines == [
+            "# exposure plan 2d",
+            "pairs 2",
+            "pair 1 photons 3 scaling 1",
+            "pair 2 photons 3 scaling 0.25",
+            "pixels 16",
+            f"entry weight={third} x=1 y=2",
+            f"entry weight={third} x=2 y=2",
+            f"entry weight={third} x=2 y=1",
         ]
+        assert [(e.x_address.index, e.y_address.index) for e in plan.entries] == [(1, 2), (2, 2), (2, 1)]
 
 
 class TestCompleteness:
@@ -393,3 +415,34 @@ class TestCompleteness:
         for p in range(1, spec.pixel_count + 1):
             total += closed_form_values(geometry, phases_for_pixel(geometry, p), xs)
         assert np.abs(total - 1.0).max() < 1e-9
+
+    @RANDOMIZED
+    @given(PAIR_PHOTONS)
+    def test_basis_sums_to_one_on_random_geometries(self, photons):
+        geometry = nested_geometry(photons)
+        spec = PixelSpec.from_geometry(geometry)
+        xs = np.linspace(0.0, spec.period, 301)
+        basis = pixel_basis(geometry, range(1, spec.pixel_count + 1), xs)
+        assert np.abs(basis.sum(axis=0) - 1.0).max() <= 1e-9
+
+    @RANDOMIZED
+    @given(PAIR_PHOTONS)
+    def test_basis_at_centers_is_identity(self, photons):
+        geometry = nested_geometry(photons)
+        spec = PixelSpec.from_geometry(geometry)
+        pixels = range(1, spec.pixel_count + 1)
+        basis = pixel_basis(geometry, pixels, [pixel_center(spec, p) for p in pixels])
+        assert np.abs(basis - np.eye(spec.pixel_count)).max() <= 1e-12
+
+    @RANDOMIZED
+    @given(PAIR_PHOTONS, st.data())
+    def test_plan_and_negative_add_to_one(self, photons, data):
+        geometry = nested_geometry(photons)
+        spec = PixelSpec.from_geometry(geometry)
+        pixels = st.integers(1, spec.pixel_count)
+        targets = data.draw(st.sets(pixels, min_size=1, max_size=spec.pixel_count - 1))
+        plan = plan_pattern(geometry, sorted(targets))
+        grid = SamplingGrid(0.0, spec.period, 257)
+        total = plan_profile(plan, grid, "pixel_sum_unity").values
+        total += plan_profile(negative_plan(plan), grid, "pixel_sum_unity").values
+        assert np.abs(total - 1.0).max() <= 1e-9
