@@ -3,9 +3,11 @@
 Every command reads a config file; flags override file values.  All
 outputs are plain text with a header echoing the fully resolved
 configuration, written atomically (temp file + rename) once the whole
-output set is computed.  Exit codes: 0 success, 1 verification failure,
-2 invalid configuration, usage or unreadable input file, 3 computation
-error or unwritable output.
+output set is computed.  Each command builds all of its inputs inside
+``input_errors`` before it computes anything.  Exit codes: 0 success,
+1 verification failure, 2 refused input (any config value, flag or
+pattern), usage error or unreadable input file, 3 computation failure or
+unwritable output.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .config import (
     NORMALIZE_CHOICES,
     ConfigError,
     RunConfig,
+    input_errors,
     load_config,
     serialize_config,
 )
@@ -97,49 +100,25 @@ def _load(args) -> RunConfig:
 def _plan_from_config(cfg: RunConfig) -> planner.ExposurePlan:
     geometry = cfg.geometry()
     if cfg.phase_entries is not None:
-        n_pairs = len(geometry.pairs)
-        entries = []
         weights = cfg.weights or (1.0,) * len(cfg.phase_entries)
         total = sum(weights)
-        for turns, w in zip(cfg.phase_entries, weights):
-            if len(turns) != n_pairs:
-                raise ConfigError(f"[plan]: entry needs {n_pairs} phases, got {len(turns)}")
-            entries.append(
-                planner.PlanEntry(w / total, tuple(2.0 * np.pi * t for t in turns))
-            )
-        return planner.ExposurePlan(geometry, tuple(entries))
+        entries = tuple(
+            planner.PlanEntry(w / total, tuple(2.0 * np.pi * t for t in turns))
+            for turns, w in zip(cfg.phase_entries, weights)
+        )
+        return planner.ExposurePlan(geometry, entries)
     if cfg.targets is not None:
-        addresses = [
-            planner.PixelAddress(p, "x", intermediate=inter) for p, inter in cfg.targets
-        ]
-        return _pixel_plan(geometry, addresses, cfg.weights)
+        return planner.plan_pattern(geometry, cfg.targets, cfg.weights)
     # No plan section: a single zero-phase entry (unsteered pattern).
     return planner.ExposurePlan(
         geometry, (planner.PlanEntry(1.0, (0.0,) * len(geometry.pairs)),)
     )
 
 
-def _pixel_spec(geometry) -> planner.PixelSpec:
-    """Pixel grid of the configured geometry; one that is not nested has none."""
-    try:
-        return planner.PixelSpec.from_geometry(geometry)
-    except ValueError as exc:
-        raise ConfigError(f"[geometry]: {exc}") from exc
-
-
-def _pixel_plan(geometry, addresses, weights=None) -> planner.ExposurePlan:
-    """``plan_pattern`` over target pixels that exist on the geometry's grid."""
-    count = _pixel_spec(geometry).pixel_count
-    highest = max((a.index for a in addresses), default=1)
-    if highest > count:
-        raise ConfigError(f"target pixel {highest} out of range 1..{count}")
-    return planner.plan_pattern(geometry, addresses, weights)
-
-
 def _grid(cfg: RunConfig) -> deposition.SamplingGrid:
     if cfg.grid is None:
         raise ConfigError("[grid] section is required for this command")
-    return deposition.SamplingGrid(cfg.grid.x_min, cfg.grid.x_max, cfg.grid.samples)
+    return cfg.grid
 
 
 # ---------------------------------------------------------------------------
@@ -147,25 +126,26 @@ def _grid(cfg: RunConfig) -> deposition.SamplingGrid:
 # ---------------------------------------------------------------------------
 
 def cmd_rate(args) -> int:
-    cfg = _load(args)
-    geometry = cfg.geometry()
-    grid = _grid(cfg)
-    plan = _plan_from_config(cfg)
-    order = cfg.absorption_order or geometry.total_photons
-    mode = NORMALIZE_CHOICES[cfg.normalize]
+    with input_errors("rate"):
+        cfg = _load(args)
+        geometry = cfg.geometry()
+        grid = _grid(cfg)
+        plan = _plan_from_config(cfg)
+        order = cfg.absorption_order or geometry.total_photons
+        mode = NORMALIZE_CHOICES[cfg.normalize]
+        if cfg.engine in ("brute", "both") and mode == "pixel_sum_unity":
+            raise ConfigError("pixelsum normalization applies to the closed-form engine only")
+        if cfg.engine in ("closed", "both") and order != geometry.total_photons:
+            raise ConfigError("closed form requires full-order absorption")
+        if cfg.engine in ("closed", "both") and cfg.transmission != 1.0:
+            raise ConfigError("closed form requires a lossless beam path; use the brute engine")
     header = _config_header(cfg)
     out = _out_dir(args, cfg)
 
     closed_profile = None
     brute_profile = None
     outputs = {}
-    if cfg.engine in ("brute", "both") and mode == "pixel_sum_unity":
-        raise ConfigError("pixelsum normalization applies to the closed-form engine only")
     if cfg.engine in ("closed", "both"):
-        if order != geometry.total_photons:
-            raise ConfigError("closed form requires full-order absorption")
-        if cfg.transmission != 1.0:
-            raise ConfigError("closed form requires a lossless beam path; use the brute engine")
         closed_profile = planner.plan_profile(plan, grid, mode)
         outputs["profile_closed.csv"] = deposition.profile_text(closed_profile, header)
     if cfg.engine in ("brute", "both"):
@@ -203,18 +183,31 @@ def _read_pattern(path: Path):
 
 
 def cmd_plan(args) -> int:
-    cfg = _load(args)
-    geometry = cfg.geometry()
+    with input_errors("plan"):
+        cfg = _load(args)
+        geometry = cfg.geometry()
+        spec = planner.PixelSpec.from_geometry(geometry)
+        grid = _grid(cfg)
+        pattern = _read_pattern(Path(args.pattern)) if args.pattern else None
+        if isinstance(pattern, np.ndarray):
+            plan2d = planner.plan_bitmap(geometry, 1 - pattern if args.negative else pattern)
+        else:
+            if pattern is not None:
+                targets = [planner.parse_address(t) for t in pattern]
+                distinct = len(set(targets))
+                if distinct > spec.pixel_count:
+                    raise ConfigError(
+                        f"pattern selects {distinct} distinct pixels but the grid has {spec.pixel_count}"
+                    )
+                plan = planner.plan_pattern(geometry, targets)
+            else:
+                plan = _plan_from_config(cfg)
+            if args.negative:
+                positive, plan = plan, planner.negative_plan(plan)
     header = _config_header(cfg)
     out = _out_dir(args, cfg)
-    spec = _pixel_spec(geometry)
 
-    pattern = _read_pattern(Path(args.pattern)) if args.pattern else None
     if isinstance(pattern, np.ndarray):
-        if args.negative:
-            pattern = 1 - pattern
-        plan2d = planner.plan_bitmap(geometry, pattern)
-        grid = _grid(cfg)
         values = planner.plan_rate_values_2d(plan2d, grid.points(), grid.points())
         _write_all(out, {
             "plan.txt": planner.plan2d_to_text(plan2d),
@@ -223,23 +216,7 @@ def cmd_plan(args) -> int:
         print(f"wrote 2d plan ({len(plan2d.entries)} entries) to {out}")
         return EXIT_OK
 
-    if pattern is not None:
-        try:
-            targets = [planner.parse_address(t) for t in pattern]
-        except ValueError as exc:
-            raise ConfigError(f"pattern {args.pattern}: {exc}") from exc
-        distinct = {(a.index, a.intermediate) for a in targets}
-        if len(distinct) > spec.pixel_count:
-            raise ConfigError(
-                f"pattern selects {len(distinct)} distinct pixels but the grid has {spec.pixel_count}"
-            )
-        plan = _pixel_plan(geometry, targets)
-    else:
-        plan = _plan_from_config(cfg)
-    grid = _grid(cfg)
     if args.negative:
-        positive = plan
-        plan = planner.negative_plan(positive)
         total = planner.plan_profile(positive, grid, "pixel_sum_unity").values + \
             planner.plan_profile(plan, grid, "pixel_sum_unity").values
         print(f"sum check: max |original + negative - 1| = {np.abs(total - 1.0).max():.3e}")
@@ -270,9 +247,10 @@ def cmd_plan(args) -> int:
 
 
 def cmd_expose(args) -> int:
-    cfg = _load(args)
-    plan = _plan_from_config(cfg)
-    film = exposure.FilmModel(cfg.film.grains, cfg.film.absorb_prob)
+    with input_errors("expose"):
+        cfg = _load(args)
+        plan = _plan_from_config(cfg)
+        film = exposure.FilmModel(cfg.film.grains, cfg.film.absorb_prob)
     result = exposure.simulate_exposure(
         plan, film, cfg.film.shots, cfg.film.seed, cfg.film.repeats, keep_grains=args.grain_bitmap
     )
@@ -294,7 +272,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    rows = planner.partition_table(args.photons)
+    with input_errors("table"):
+        rows = planner.partition_table(args.photons)
     print("photons_1,photons_2,pixels,feature_size_lambda,period_lambda")
     for row in rows:
         print(f"{row.photons_1},{row.photons_2},{row.pixels},{row.feature_size},{row.period}")

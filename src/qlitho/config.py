@@ -4,6 +4,11 @@ Geometries are multi-line, so they live in a config file rather than in
 positional flags; command-line flags override file values.  Scalings
 accept the arcsin(1/k) idiom directly as fractions (``scaling = 1/4``) or
 an ``angle`` in radians (exclusive with ``scaling``).
+
+Sections parse straight into the domain types (``ModePair``,
+``SamplingGrid``, ``PixelAddress``, ``LossModel``, ``FilmModel``), whose
+constructors hold the range checks; ``input_errors`` reports whatever they
+or the text parsers refuse as a ``ConfigError`` that names the section.
 """
 
 from __future__ import annotations
@@ -11,27 +16,30 @@ from __future__ import annotations
 import configparser
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+from .deposition import SamplingGrid
+from .exposure import FilmModel
 from .fock import Geometry, ModePair
+from .imperfections import LossModel
+from .planner import PixelAddress, format_address, parse_address
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-@dataclass(frozen=True)
-class PairConfig:
-    photons: int
-    scaling: float
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    x_min: float
-    x_max: float
-    samples: int
+@contextmanager
+def input_errors(prefix: str):
+    """Re-raise a refused input value as a ``ConfigError`` that starts with ``prefix``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, ZeroDivisionError, configparser.Error) as exc:
+        raise ConfigError(f"{prefix}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -42,13 +50,21 @@ class FilmConfig:
     seed: int = 0
     repeats: int = 1
 
+    def __post_init__(self):
+        FilmModel(self.grains, self.absorb_prob)
+        if self.shots < 1 or self.repeats < 1 or self.seed < 0:
+            raise ValueError(
+                f"need shots >= 1, repeats >= 1 and seed >= 0, "
+                f"got shots={self.shots} repeats={self.repeats} seed={self.seed}"
+            )
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    pairs: tuple[PairConfig, ...] = ()
-    grid: GridConfig | None = None
-    # Plan: pixel targets (index, intermediate) XOR explicit per-entry phases in turns.
-    targets: tuple[tuple[int, bool], ...] | None = None
+    pairs: tuple[ModePair, ...] = ()
+    grid: SamplingGrid | None = None
+    # Plan: pixel targets XOR explicit per-entry phases in turns.
+    targets: tuple[PixelAddress, ...] | None = None
     weights: tuple[float, ...] | None = None
     phase_entries: tuple[tuple[float, ...], ...] | None = None
     absorption_order: int | None = None
@@ -62,9 +78,7 @@ class RunConfig:
     def geometry(self) -> Geometry:
         if not self.pairs:
             raise ConfigError("[geometry] section with at least one pair is required")
-        return Geometry(
-            tuple(ModePair(i + 1, p.photons, p.scaling) for i, p in enumerate(self.pairs))
-        )
+        return Geometry(self.pairs)
 
 
 NORMALIZE_CHOICES = {"raw": "raw", "peak": "peak_unity", "pixelsum": "pixel_sum_unity"}
@@ -77,48 +91,36 @@ def _parse_scaling(token: str) -> float:
     return float(token)
 
 
-def _parse_pair_line(line: str, lineno: int) -> PairConfig:
+def _parse_pair_line(line: str, lineno: int) -> ModePair:
     photons = None
     scaling = None
     angle = None
-    for tok in line.split():
-        if "=" not in tok:
-            raise ConfigError(f"[geometry] pairs line {lineno}: expected key=value, got {tok!r}")
-        key, value = tok.split("=", 1)
-        if key == "photons":
-            photons = int(value)
-        elif key == "scaling":
-            scaling = _parse_scaling(value)
-        elif key == "angle":
-            angle = float(value)
-        else:
-            raise ConfigError(f"[geometry] pairs line {lineno}: unknown key {key!r}")
-    if photons is None:
-        raise ConfigError(f"[geometry] pairs line {lineno}: missing photons")
-    if (scaling is None) == (angle is None):
-        raise ConfigError(
-            f"[geometry] pairs line {lineno}: exactly one of scaling or angle is required"
-        )
-    if angle is not None:
-        scaling = math.sin(angle)
-    if photons < 0 or not 0.0 < scaling <= 1.0:
-        raise ConfigError(f"[geometry] pairs line {lineno}: need photons >= 0 and scaling in (0, 1]")
-    return PairConfig(photons, scaling)
-
-
-def _parse_target(token: str) -> tuple[int, bool]:
-    index = token.removesuffix("i")
-    if not index.isdecimal() or int(index) < 1:
-        raise ConfigError(f"[plan]: target {token!r} is not a pixel index like 6 or 6i")
-    return int(index), index != token
+    with input_errors(f"[geometry] pairs line {lineno}"):
+        for tok in line.split():
+            if "=" not in tok:
+                raise ValueError(f"expected key=value, got {tok!r}")
+            key, value = tok.split("=", 1)
+            if key == "photons":
+                photons = int(value)
+            elif key == "scaling":
+                scaling = _parse_scaling(value)
+            elif key == "angle":
+                angle = float(value)
+            else:
+                raise ValueError(f"unknown key {key!r}")
+        if photons is None:
+            raise ValueError("missing photons")
+        if (scaling is None) == (angle is None):
+            raise ValueError("exactly one of scaling or angle is required")
+        if angle is not None:
+            scaling = math.sin(angle)
+        return ModePair(lineno, photons, scaling)
 
 
 def parse_config(text: str) -> RunConfig:
-    parser = configparser.ConfigParser()
-    try:
+    parser = configparser.ConfigParser(interpolation=None)
+    with input_errors("config"):
         parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
 
     cfg = RunConfig()
 
@@ -132,61 +134,50 @@ def parse_config(text: str) -> RunConfig:
 
     if parser.has_section("grid"):
         sec = parser["grid"]
-        try:
-            grid = GridConfig(sec.getfloat("x_min"), sec.getfloat("x_max"), sec.getint("samples"))
-        except (configparser.Error, TypeError, ValueError) as exc:
-            raise ConfigError(f"[grid]: {exc}") from exc
-        if grid.x_min is None or grid.x_max is None or grid.samples is None:
-            raise ConfigError("[grid]: x_min, x_max, and samples are all required")
-        if not grid.x_min < grid.x_max:
-            raise ConfigError(f"[grid]: need x_min < x_max, got [{grid.x_min}, {grid.x_max}]")
-        if grid.samples < 2:
-            raise ConfigError(f"[grid]: need samples >= 2, got {grid.samples}")
-        cfg = replace(cfg, grid=grid)
+        with input_errors("[grid]"):
+            x_min, x_max, samples = sec.getfloat("x_min"), sec.getfloat("x_max"), sec.getint("samples")
+            if x_min is None or x_max is None or samples is None:
+                raise ValueError("x_min, x_max, and samples are all required")
+            cfg = replace(cfg, grid=SamplingGrid(x_min, x_max, samples))
 
     if parser.has_section("plan"):
         sec = parser["plan"]
-        targets = None
-        if sec.get("targets"):
-            targets = tuple(_parse_target(t) for t in sec.get("targets").split())
-        phase_entries = None
-        if sec.get("phase_turns"):
-            phase_entries = tuple(
-                tuple(float(v) for v in line.split(","))
-                for line in sec.get("phase_turns").splitlines()
-                if line.strip()
-            )
-        if (targets is None) == (phase_entries is None):
-            raise ConfigError("[plan]: exactly one of targets or phase_turns is required")
-        weights = None
-        if sec.get("weights"):
-            weights = tuple(float(w) for w in sec.get("weights").split())
-            count = len(targets) if targets is not None else len(phase_entries)
-            if len(weights) != count:
-                raise ConfigError(f"[plan]: {len(weights)} weights for {count} entries")
+        with input_errors("[plan]"):
+            targets = None
+            if sec.get("targets"):
+                targets = tuple(parse_address(t) for t in sec.get("targets").split())
+            phase_entries = None
+            if sec.get("phase_turns"):
+                phase_entries = tuple(
+                    tuple(float(v) for v in line.split(","))
+                    for line in sec.get("phase_turns").splitlines()
+                    if line.strip()
+                )
+            if (targets is None) == (phase_entries is None):
+                raise ValueError("exactly one of targets or phase_turns is required")
+            weights = None
+            if sec.get("weights"):
+                weights = tuple(float(w) for w in sec.get("weights").split())
+                count = len(targets) if targets is not None else len(phase_entries)
+                if len(weights) != count:
+                    raise ValueError(f"{len(weights)} weights for {count} entries")
         cfg = replace(cfg, targets=targets, weights=weights, phase_entries=phase_entries)
 
     if parser.has_section("absorption"):
-        try:
+        with input_errors("[absorption]"):
             order = parser.getint("absorption", "order")
-        except (configparser.Error, ValueError) as exc:
-            raise ConfigError(f"[absorption]: {exc}") from exc
-        if order < 1:
-            raise ConfigError(f"[absorption]: order must be >= 1, got {order}")
+            if order < 1:
+                raise ValueError(f"order must be >= 1, got {order}")
         cfg = replace(cfg, absorption_order=order)
 
     if parser.has_section("loss"):
-        try:
-            eta = parser.getfloat("loss", "transmission")
-        except (configparser.Error, ValueError) as exc:
-            raise ConfigError(f"[loss]: {exc}") from exc
-        if not 0.0 <= eta <= 1.0:
-            raise ConfigError(f"[loss]: transmission must lie in [0, 1], got {eta}")
-        cfg = replace(cfg, transmission=eta)
+        with input_errors("[loss]"):
+            loss = LossModel(parser.getfloat("loss", "transmission"))
+        cfg = replace(cfg, transmission=loss.transmission)
 
     if parser.has_section("film"):
         sec = parser["film"]
-        try:
+        with input_errors("[film]"):
             film = FilmConfig(
                 grains=sec.getint("grains", FilmConfig.grains),
                 absorb_prob=sec.getfloat("absorb_prob", FilmConfig.absorb_prob),
@@ -194,31 +185,24 @@ def parse_config(text: str) -> RunConfig:
                 seed=sec.getint("seed", FilmConfig.seed),
                 repeats=sec.getint("repeats", FilmConfig.repeats),
             )
-        except (configparser.Error, ValueError) as exc:
-            raise ConfigError(f"[film]: {exc}") from exc
-        if film.grains < 2:
-            raise ConfigError("[film]: need at least two grains per pixel")
-        if not 0.0 < film.absorb_prob <= 1.0:
-            raise ConfigError(f"[film]: absorb_prob must lie in (0, 1], got {film.absorb_prob}")
-        if film.shots < 1 or film.repeats < 1:
-            raise ConfigError("[film]: shots and repeats must be >= 1")
         cfg = replace(cfg, film=film)
 
     if parser.has_section("output"):
         sec = parser["output"]
-        normalize = sec.get("normalize", cfg.normalize)
-        if normalize not in NORMALIZE_CHOICES:
-            raise ConfigError(f"[output]: normalize must be one of {sorted(NORMALIZE_CHOICES)}")
-        engine = sec.get("engine", cfg.engine)
-        if engine not in ENGINE_CHOICES:
-            raise ConfigError(f"[output]: engine must be one of {ENGINE_CHOICES}")
-        cfg = replace(
-            cfg,
-            out_dir=sec.get("dir", cfg.out_dir),
-            normalize=normalize,
-            engine=engine,
-            two_d=sec.getboolean("two_d", cfg.two_d),
-        )
+        with input_errors("[output]"):
+            normalize = sec.get("normalize", cfg.normalize)
+            if normalize not in NORMALIZE_CHOICES:
+                raise ValueError(f"normalize must be one of {sorted(NORMALIZE_CHOICES)}")
+            engine = sec.get("engine", cfg.engine)
+            if engine not in ENGINE_CHOICES:
+                raise ValueError(f"engine must be one of {ENGINE_CHOICES}")
+            cfg = replace(
+                cfg,
+                out_dir=sec.get("dir", cfg.out_dir),
+                normalize=normalize,
+                engine=engine,
+                two_d=sec.getboolean("two_d", cfg.two_d),
+            )
 
     return cfg
 
@@ -230,7 +214,7 @@ def load_config(path) -> RunConfig:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse(serialize(cfg)) == cfg."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     if cfg.pairs:
         lines = "".join(
             f"\nphotons={p.photons} scaling={format(p.scaling, '.17g')}" for p in cfg.pairs
@@ -245,7 +229,7 @@ def serialize_config(cfg: RunConfig) -> str:
     if cfg.targets is not None or cfg.phase_entries is not None:
         plan = {}
         if cfg.targets is not None:
-            plan["targets"] = " ".join(f"{p}i" if inter else str(p) for p, inter in cfg.targets)
+            plan["targets"] = " ".join(map(format_address, cfg.targets))
         if cfg.phase_entries is not None:
             plan["phase_turns"] = "".join(
                 "\n" + ",".join(format(v, ".17g") for v in entry) for entry in cfg.phase_entries

@@ -45,8 +45,8 @@ class SamplingGrid:
     samples: int
 
     def __post_init__(self):
-        if not self.x_min < self.x_max:
-            raise ValueError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max) and self.x_min < self.x_max):
+            raise ValueError(f"need finite x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if self.samples < 2:
             raise ValueError(f"need at least 2 samples, got {self.samples}")
 

@@ -33,7 +33,7 @@ class FilmModel:
         if self.grains_per_pixel < 2:
             raise ValueError("need at least two grains per pixel (grains must be smaller than pixels)")
         if not 0.0 < self.base_absorb_prob <= 1.0:
-            raise ValueError(f"absorption probability must lie in (0, 1], got {self.base_absorb_prob}")
+            raise ValueError(f"absorb_prob must lie in (0, 1], got {self.base_absorb_prob}")
 
 
 @dataclass(frozen=True, eq=False)

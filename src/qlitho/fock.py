@@ -41,10 +41,10 @@ class ModePair:
     def __post_init__(self):
         if self.index < 1:
             raise ValueError(f"pair index must be >= 1, got {self.index}")
-        if self.photons < 0:
-            raise ValueError(f"photon number must be >= 0, got {self.photons}")
-        if not 0.0 < self.scaling <= 1.0:
-            raise ValueError(f"in-plane scaling must lie in (0, 1], got {self.scaling}")
+        if self.photons < 0 or not 0.0 < self.scaling <= 1.0:
+            raise ValueError(
+                f"need photons >= 0 and scaling in (0, 1], got photons={self.photons} scaling={self.scaling}"
+            )
 
 
 @dataclass(frozen=True)

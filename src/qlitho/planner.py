@@ -28,14 +28,11 @@ class PixelAddress:
     half-step offset used to smooth diagonal lines."""
 
     index: int
-    axis: str = "x"
     intermediate: bool = False
 
     def __post_init__(self):
         if self.index < 1:
             raise ValueError(f"pixel index must be >= 1, got {self.index}")
-        if self.axis not in ("x", "y"):
-            raise ValueError(f"axis must be 'x' or 'y', got {self.axis!r}")
 
 
 @dataclass(frozen=True)
@@ -162,6 +159,12 @@ class ExposurePlan:
         object.__setattr__(self, "entries", tuple(self.entries))
         if not self.entries:
             raise ValueError("plan needs at least one entry")
+        pairs = len(self.geometry.pairs)
+        for e in self.entries:
+            if len(e.phases) != pairs:
+                raise ValueError(f"entry needs {pairs} phases, got {len(e.phases)}")
+            if not all(map(math.isfinite, (e.weight, *e.phases))):
+                raise ValueError(f"entry weights and phases must be finite, got {e.weight!r}, {e.phases!r}")
         if any(e.weight <= 0 for e in self.entries):
             raise ValueError("entry weights must be positive")
         total = sum(e.weight for e in self.entries)
@@ -354,7 +357,7 @@ def plan_bitmap(geometry: Geometry, bitmap) -> ExposurePlan2D:
     if not cells:
         raise ValueError("bitmap selects no pixels")
     entries = tuple(
-        PlanEntry2D(1.0 / len(cells), PixelAddress(px, "x"), PixelAddress(py, "y"))
+        PlanEntry2D(1.0 / len(cells), PixelAddress(px), PixelAddress(py))
         for px, py in cells
     )
     return ExposurePlan2D(geometry, entries)
@@ -394,10 +397,7 @@ def diagonal_intermediates(cells) -> list[tuple[PixelAddress, PixelAddress]]:
                 if corner not in seen:
                     seen.add(corner)
                     out.append(
-                        (
-                            PixelAddress(corner[0], "x", intermediate=True),
-                            PixelAddress(corner[1], "y", intermediate=True),
-                        )
+                        (PixelAddress(corner[0], intermediate=True), PixelAddress(corner[1], intermediate=True))
                     )
     return out
 
@@ -406,7 +406,8 @@ def diagonal_intermediates(cells) -> list[tuple[PixelAddress, PixelAddress]]:
 # Plan serialization
 # ---------------------------------------------------------------------------
 
-def _format_address(address: PixelAddress | None) -> str:
+def format_address(address: PixelAddress | None) -> str:
+    """``"6"``, ``"6i"`` (intermediate) or ``"-"`` (no address); inverse of ``parse_address``."""
     if address is None:
         return "-"
     return f"{address.index}i" if address.intermediate else str(address.index)
@@ -414,9 +415,10 @@ def _format_address(address: PixelAddress | None) -> str:
 
 def parse_address(token: str) -> PixelAddress:
     """Parse ``"6"`` or ``"6i"`` (intermediate)."""
-    if token.endswith("i"):
-        return PixelAddress(int(token[:-1]), intermediate=True)
-    return PixelAddress(int(token))
+    index = token.removesuffix("i")
+    if not index.isdecimal():
+        raise ValueError(f"{token!r} is not a pixel index like 6 or 6i")
+    return PixelAddress(int(index), intermediate=index != token)
 
 
 def _geometry_lines(geometry: Geometry) -> list[str]:
@@ -443,7 +445,7 @@ def plan_to_text(plan: ExposurePlan) -> str:
         turns = ",".join(format(p / _TWO_PI, ".17g") for p in entry.phases)
         line = (
             f"entry weight={format(entry.weight, '.17g')} "
-            f"phase_turns={turns} target={_format_address(entry.address)}"
+            f"phase_turns={turns} target={format_address(entry.address)}"
         )
         if two_pair and entry.address is not None and not entry.address.intermediate:
             l1, l2 = pixel_levels(
@@ -464,6 +466,6 @@ def plan2d_to_text(plan: ExposurePlan2D) -> str:
     for entry in plan.entries:
         lines.append(
             f"entry weight={format(entry.weight, '.17g')} "
-            f"x={_format_address(entry.x_address)} y={_format_address(entry.y_address)}"
+            f"x={format_address(entry.x_address)} y={format_address(entry.y_address)}"
         )
     return "\n".join(lines) + "\n"

@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -299,6 +303,65 @@ class TestInputErrors:
         argv = ["plan", "--pattern", str(pattern)]
         self.assert_refused(argv, PIXEL6_CONFIG, tmp_path, capsys, "'abc'")
 
+    @pytest.mark.parametrize(
+        "argv, config_text, pattern, message",
+        [
+            (["rate"], PIXEL6_CONFIG.replace("scaling=1/4", "scaling=1/0"), None, "[geometry] pairs line 2"),
+            (["rate"], PIXEL6_CONFIG.replace("photons=3 scaling=1/4", "photons=abc scaling=1/4"), None, "'abc'"),
+            (["rate"], PIXEL6_CONFIG.replace("targets = 6", "targets = 6 7\nweights = 1 -1"), None, "weights"),
+            (["rate"], PIXEL6_CONFIG.replace("targets = 6", "targets = 6 7\nweights = 1 x"), None, "'x'"),
+            (["rate"], PIXEL6_CONFIG.replace("targets = 6", "phase_turns = 0.1,abc"), None, "'abc'"),
+            (["rate"], PIXEL6_CONFIG + "two_d = maybe\n", None, "maybe"),
+            (["expose", "--shots", "0"], PIXEL6_CONFIG, None, "shots=0"),
+            (["expose", "--repeats", "0"], PIXEL6_CONFIG, None, "repeats=0"),
+            (["expose", "--seed", "-1"], PIXEL6_CONFIG, None, "seed=-1"),
+            (["plan"], PIXEL6_CONFIG, "1 0\n" * 17, "bitmap 17x2"),
+            (["plan", "--negative"], PIXEL6_CONFIG, "1 1\n1 1\n", "bitmap selects no pixels"),
+            (["plan", "--negative"], PIXEL6_CONFIG, " ".join(map(str, range(1, 17))), "complement is empty"),
+            (["rate"], PIXEL6_CONFIG.replace("x_max = 2", "x_max = inf"), None, "[grid]"),
+            (["rate"], PIXEL6_CONFIG.replace("targets = 6", "phase_turns = inf,0"), None, "phases must be finite"),
+            (
+                ["rate"],
+                PIXEL6_CONFIG.replace("targets = 6", "phase_turns =\n    0,0\n    0.5,0.25\nweights = 1 nan"),
+                None,
+                "weights and phases must be finite",
+            ),
+        ],
+        ids=[
+            "scaling-1/0", "photons-abc", "negative-weight", "weight-x", "phase-abc", "two_d-maybe",
+            "shots-0", "repeats-0", "seed-negative", "bitmap-17x2", "bitmap-negative-empty",
+            "negative-covers-all", "x_max-inf", "phase-inf", "weight-nan",
+        ],
+    )
+    def test_refused_input(self, argv, config_text, pattern, message, tmp_path, capsys):
+        if pattern is not None:
+            path = tmp_path / "pattern.txt"
+            path.write_text(pattern)
+            argv = argv + ["--pattern", str(path)]
+        self.assert_refused(argv, config_text, tmp_path, capsys, message)
+
+
+class TestProcess:
+    """``python -m qlitho.cli`` in a fresh process, where an uncaught exception
+    would end in a traceback and exit 1."""
+
+    @pytest.mark.parametrize(
+        "scaling, code", [("1/4", EXIT_OK), ("1/0", EXIT_CONFIG)], ids=["valid", "scaling-1/0"]
+    )
+    def test_exit_code(self, scaling, code, tmp_path):
+        config = tmp_path / "cfg.ini"
+        config.write_text(PIXEL6_CONFIG.replace("scaling=1/4", f"scaling={scaling}"))
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "qlitho.cli", "rate", "--config", str(config), "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == code, result.stderr
+        assert "Traceback" not in result.stderr
+
 
 class TestExpose:
     def test_exposure_runs_and_is_deterministic(self, trench_config, tmp_path):
@@ -372,3 +435,7 @@ class TestTable:
             assert int(pixels) == row.pixels
             assert feature == str(row.feature_size)
             assert period == str(row.period)
+
+    def test_nonpositive_photons_is_input_error(self, capsys):
+        assert main(["table", "--photons", "0"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: table: need at least one photon per half\n"

@@ -1,16 +1,20 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qlitho.config import (
+    ENGINE_CHOICES,
+    NORMALIZE_CHOICES,
     ConfigError,
     FilmConfig,
-    GridConfig,
-    PairConfig,
     RunConfig,
     parse_config,
     serialize_config,
 )
+from qlitho.deposition import SamplingGrid
+from qlitho.fock import ModePair
+from qlitho.planner import PixelAddress
 
 PIXEL6_CONFIG = """
 [geometry]
@@ -35,9 +39,9 @@ engine = both
 class TestParse:
     def test_full_example(self):
         cfg = parse_config(PIXEL6_CONFIG)
-        assert cfg.pairs == (PairConfig(3, 1.0), PairConfig(3, 0.25))
-        assert cfg.grid == GridConfig(0.0, 2.0, 2048)
-        assert cfg.targets == ((6, False),)
+        assert cfg.pairs == (ModePair(1, 3, 1.0), ModePair(2, 3, 0.25))
+        assert cfg.grid == SamplingGrid(0.0, 2.0, 2048)
+        assert cfg.targets == (PixelAddress(6),)
         assert cfg.engine == "both"
         assert cfg.normalize == "peak"
         geometry = cfg.geometry()
@@ -67,7 +71,7 @@ class TestParse:
 
     def test_intermediate_target_suffix(self):
         cfg = parse_config("[plan]\ntargets = 3 4i\n")
-        assert cfg.targets == ((3, False), (4, True))
+        assert cfg.targets == (PixelAddress(3), PixelAddress(4, intermediate=True))
 
     @pytest.mark.parametrize("token", ["abc", "0", "-3", "4ii", "i"])
     def test_target_must_be_a_pixel_index(self, token):
@@ -165,3 +169,58 @@ two_d = true
     def test_defaults_round_trip(self):
         cfg = RunConfig()
         assert parse_config(serialize_config(cfg)) == cfg
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+@st.composite
+def run_configs(draw):
+    """Every section of a run config, with fraction (1/k) or float scalings and a
+    plan of pixel targets or of explicit phase entries."""
+    scalings = st.one_of(st.integers(1, 64).map(lambda k: 1.0 / k), UNIT)
+    pairs = draw(st.lists(st.tuples(st.integers(0, 12), scalings), min_size=1, max_size=4))
+    x_min = draw(st.floats(-1e3, 1e3))
+    grid = SamplingGrid(x_min, x_min + draw(st.floats(1e-3, 1e3)), draw(st.integers(2, 10**6)))
+    plan = draw(st.sampled_from(["targets", "phases", None]))
+    targets = phase_entries = weights = None
+    if plan == "targets":
+        addresses = st.builds(PixelAddress, st.integers(1, 10**4), st.booleans())
+        targets = tuple(draw(st.lists(addresses, min_size=1, max_size=6)))
+    elif plan == "phases":
+        entry = st.tuples(*[st.floats(allow_nan=False)] * len(pairs))
+        phase_entries = tuple(draw(st.lists(entry, min_size=1, max_size=4)))
+    if plan is not None and draw(st.booleans()):
+        count = len(targets if targets is not None else phase_entries)
+        weights = tuple(draw(st.lists(FINITE, min_size=count, max_size=count)))
+    film = FilmConfig(
+        draw(st.integers(2, 10**5)), draw(UNIT), draw(st.integers(1, 10**4)),
+        draw(st.integers(0, 2**64)), draw(st.integers(1, 100)),
+    )
+    # INI values lose surrounding whitespace; control characters are left out.
+    out_dir = draw(st.none() | st.text(st.characters(exclude_categories=("Cc", "Cs"))).filter(
+        lambda text: text == text.strip()
+    ))
+    return RunConfig(
+        pairs=tuple(ModePair(i + 1, n, s) for i, (n, s) in enumerate(pairs)),
+        grid=grid,
+        targets=targets,
+        weights=weights,
+        phase_entries=phase_entries,
+        absorption_order=draw(st.none() | st.integers(1, 40)),
+        transmission=draw(st.floats(0.0, 1.0)),
+        film=film,
+        out_dir=out_dir,
+        normalize=draw(st.sampled_from(sorted(NORMALIZE_CHOICES))),
+        engine=draw(st.sampled_from(ENGINE_CHOICES)),
+        two_d=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(run_configs())
+def test_random_config_round_trip(cfg):
+    text = serialize_config(cfg)
+    assert parse_config(text) == cfg
+    assert serialize_config(parse_config(text)) == text

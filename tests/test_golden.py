@@ -183,7 +183,7 @@ def test_brute_profile_matches_generic_engine(tmp_path):
     lines = (tmp_path / "out" / "profile_brute.csv").read_text().splitlines()
     rows = np.array([[float(v) for v in l.split(",")] for l in lines[lines.index("x_lambda,rate") + 1 :]])
     cfg = load_config(tmp_path / "both.ini")
-    plan = planner.plan_pattern(cfg.geometry(), [index for index, _ in cfg.targets])
+    plan = planner.plan_pattern(cfg.geometry(), cfg.targets)
     grid = deposition.SamplingGrid(cfg.grid.x_min, cfg.grid.x_max, cfg.grid.samples)
     order = cfg.geometry().total_photons
     generic = deposition.profile_brute(planner.plan_mixture(plan), order, grid, "peak_unity").values

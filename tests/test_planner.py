@@ -355,7 +355,7 @@ class TestTwoDimensional:
         # unequal weights, a repeated (x, y) cell, a repeated x address and
         # the half-step intermediates that smooth a diagonal
         cells = [(3, 5), (7, 5), (3, 5), (3, 9), (12, 1), (4, 6)]
-        addresses = [(PixelAddress(x, "x"), PixelAddress(y, "y")) for x, y in cells]
+        addresses = [(PixelAddress(x), PixelAddress(y)) for x, y in cells]
         addresses += diagonal_intermediates([(3, 5), (4, 6)])
         weights = rng.uniform(0.1, 1.0, size=len(addresses))
         weights /= weights.sum()
