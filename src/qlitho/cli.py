@@ -100,10 +100,9 @@ def _load(args) -> RunConfig:
 def _plan_from_config(cfg: RunConfig) -> planner.ExposurePlan:
     geometry = cfg.geometry()
     if cfg.phase_entries is not None:
-        weights = cfg.weights or (1.0,) * len(cfg.phase_entries)
-        total = sum(weights)
+        weights = planner.mixture_weights(cfg.weights, len(cfg.phase_entries))
         entries = tuple(
-            planner.PlanEntry(w / total, tuple(2.0 * np.pi * t for t in turns))
+            planner.PlanEntry(w, tuple(2.0 * np.pi * t for t in turns))
             for turns, w in zip(cfg.phase_entries, weights)
         )
         return planner.ExposurePlan(geometry, entries)
@@ -113,6 +112,14 @@ def _plan_from_config(cfg: RunConfig) -> planner.ExposurePlan:
     return planner.ExposurePlan(
         geometry, (planner.PlanEntry(1.0, (0.0,) * len(geometry.pairs)),)
     )
+
+
+def _refuse_imperfections(cfg: RunConfig, who: str, lossy_hint: str = "") -> None:
+    """Refuse a lower order or a lossy path where ``who`` models only the ideal exposure."""
+    if cfg.absorption_order not in (None, cfg.geometry().total_photons):
+        raise ConfigError(f"{who} requires full-order absorption")
+    if cfg.transmission != 1.0:
+        raise ConfigError(f"{who} requires a lossless beam path{lossy_hint}")
 
 
 def _grid(cfg: RunConfig) -> deposition.SamplingGrid:
@@ -135,10 +142,8 @@ def cmd_rate(args) -> int:
         mode = NORMALIZE_CHOICES[cfg.normalize]
         if cfg.engine in ("brute", "both") and mode == "pixel_sum_unity":
             raise ConfigError("pixelsum normalization applies to the closed-form engine only")
-        if cfg.engine in ("closed", "both") and order != geometry.total_photons:
-            raise ConfigError("closed form requires full-order absorption")
-        if cfg.engine in ("closed", "both") and cfg.transmission != 1.0:
-            raise ConfigError("closed form requires a lossless beam path; use the brute engine")
+        if cfg.engine in ("closed", "both"):
+            _refuse_imperfections(cfg, "closed form", "; use the brute engine")
     header = _config_header(cfg)
     out = _out_dir(args, cfg)
 
@@ -186,12 +191,14 @@ def cmd_plan(args) -> int:
     with input_errors("plan"):
         cfg = _load(args)
         geometry = cfg.geometry()
+        _refuse_imperfections(cfg, "plan")
         spec = planner.PixelSpec.from_geometry(geometry)
         grid = _grid(cfg)
         pattern = _read_pattern(Path(args.pattern)) if args.pattern else None
         if isinstance(pattern, np.ndarray):
             plan2d = planner.plan_bitmap(geometry, 1 - pattern if args.negative else pattern)
         else:
+            deposition.whole_periods(grid, spec.period)
             if pattern is not None:
                 targets = [planner.parse_address(t) for t in pattern]
                 distinct = len(set(targets))
@@ -250,6 +257,7 @@ def cmd_expose(args) -> int:
     with input_errors("expose"):
         cfg = _load(args)
         plan = _plan_from_config(cfg)
+        _refuse_imperfections(cfg, "expose")
         film = exposure.FilmModel(cfg.film.grains, cfg.film.absorb_prob)
     result = exposure.simulate_exposure(
         plan, film, cfg.film.shots, cfg.film.seed, cfg.film.repeats, keep_grains=args.grain_bitmap
@@ -343,6 +351,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ValueError as exc:
         print(f"computation error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except MemoryError as exc:
+        print(f"computation error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_COMPUTE
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)

@@ -198,6 +198,15 @@ def profile_2d(profile_x: DepositionProfile, profile_y: DepositionProfile) -> np
 # Spectral content
 # ---------------------------------------------------------------------------
 
+def whole_periods(grid: SamplingGrid, period: float) -> int:
+    """Number of periods the grid spans; refuses a span that is not a whole number of them."""
+    span = grid.x_max - grid.x_min
+    cycles = span / period
+    if abs(cycles - round(cycles)) > 1e-9 * max(1.0, cycles) or round(cycles) < 1:
+        raise ValueError(f"grid span {span} is not an integer number of periods {period}")
+    return round(cycles)
+
+
 def fourier_harmonics(profile: DepositionProfile, fundamental_period: float,
                       max_harmonic: int | None = None) -> np.ndarray:
     """Magnitudes of the profile's Fourier coefficients at integer harmonics.
@@ -206,22 +215,19 @@ def fourier_harmonics(profile: DepositionProfile, fundamental_period: float,
     duplicated endpoint sample is dropped before the transform).  Harmonic
     k is the coefficient at spatial frequency k / fundamental_period.
     """
-    grid = profile.grid
-    span = grid.x_max - grid.x_min
-    cycles = span / fundamental_period
-    if abs(cycles - round(cycles)) > 1e-9 * max(1.0, cycles) or round(cycles) < 1:
-        raise ValueError(
-            f"grid span {span} is not an integer number of periods {fundamental_period}"
-        )
-    cycles = round(cycles)
-    n_unique = grid.samples - 1
     if max_harmonic is None:
-        max_harmonic = n_unique // (2 * cycles)
-    values = profile.values[:n_unique]
+        max_harmonic = (profile.grid.samples - 1) // (2 * whole_periods(profile.grid, fundamental_period))
+    return _harmonic_magnitudes(profile, fundamental_period, np.arange(max_harmonic + 1))
+
+
+def _harmonic_magnitudes(profile: DepositionProfile, fundamental_period: float, harmonics) -> np.ndarray:
+    """``fourier_harmonics`` at the listed harmonics only: one basis row each."""
+    grid = profile.grid
+    whole_periods(grid, fundamental_period)
+    n_unique = grid.samples - 1
     t = (grid.points()[:n_unique] - grid.x_min) / fundamental_period
-    ks = np.arange(max_harmonic + 1)
-    basis = np.exp(-2j * math.pi * np.outer(ks, t))
-    return np.abs(basis @ values) / n_unique
+    basis = np.exp(-2j * math.pi * np.outer(harmonics, t))
+    return np.abs(basis @ profile.values[:n_unique]) / n_unique
 
 
 # ---------------------------------------------------------------------------

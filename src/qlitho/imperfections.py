@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deposition import DepositionProfile, brute_force_values, fourier_harmonics
+from .deposition import DepositionProfile, _harmonic_magnitudes, brute_force_values
 from .fock import Geometry, MixedState, PureState, apply_pair_phase, reciprocal_binomial
-from .planner import ExposurePlan, PixelSpec, pixel_center
+from .planner import ExposurePlan, PixelSpec
 
 
 # A top-harmonic ratio below this counts as missing.
@@ -220,80 +220,58 @@ def degradation_report(
     """Compare a (possibly degraded) profile against the intended exposure.
 
     ``targets`` lists the intended pixel indices; if omitted, the single
-    pixel under the reference profile's peak is assumed.  Both profiles
-    must share a grid spanning an integer number of pattern periods.
+    pixel under the reference profile's peak is assumed; an empty list
+    leaves every pixel off-target.  Both profiles must share a grid
+    spanning an integer number of pattern periods.  Only harmonics 0 and
+    ``top_harmonic_index`` are transformed; above the grid's Nyquist limit
+    the sampled top reading is aliased.
     """
     if profile.grid != reference.grid:
         raise ValueError("profile and reference must share a grid")
     spec = PixelSpec.from_geometry(geometry)
-    xs = profile.grid.points()
+    grid = profile.grid
+    xs = grid.points()
+    values = profile.values
     if targets is None:
-        x_peak = (xs[int(np.argmax(reference.values))] - profile.grid.x_min) % spec.period
+        x_peak = (xs[int(np.argmax(reference.values))] - grid.x_min) % spec.period
         targets = [min(int(x_peak / spec.pixel_width) + 1, spec.pixel_count)]
     target_set = {int(t) for t in targets}
-    peak = float(profile.values.max())
+    if not all(1 <= t <= spec.pixel_count for t in target_set):
+        raise ValueError(f"targets must be pixels 1..{spec.pixel_count}, got {sorted(target_set)}")
+    peak = float(values.max())
     if peak <= 0:
         raise ValueError("flat profile has no peak")
 
-    off_targets = [p for p in range(1, spec.pixel_count + 1) if p not in target_set]
-    folded = (xs - profile.grid.x_min) % spec.period
-    penalty = 0.0
-    for p in off_targets:
-        center = pixel_center(spec, p)
-        penalty = max(penalty, _interp_periodic(profile, center, spec.period))
-    offband = 0.0
-    for first, last in _cyclic_runs(off_targets, spec.pixel_count):
-        lo = pixel_center(spec, first)
-        hi = pixel_center(spec, last)
-        if lo <= hi:
-            mask = (folded >= lo) & (folded <= hi)
-        else:
-            mask = (folded >= lo) | (folded <= hi)
-        if mask.any():
-            offband = max(offband, float(profile.values[mask].max()))
+    off_target = np.ones(spec.pixel_count, dtype=bool)
+    off_target[[t - 1 for t in target_set]] = False
+    centers = (np.arange(1, spec.pixel_count + 1) - 0.5) * spec.pixel_width
 
-    sample_pixel = np.minimum(
-        (folded / spec.pixel_width).astype(int) + 1, spec.pixel_count
-    )
-    off_mask = ~np.isin(sample_pixel, sorted(target_set))
-    total_dose = float(profile.values.sum())
-    dose_fraction = float(profile.values[off_mask].sum()) / total_dose if total_dose > 0 else 0.0
+    # Off-target centers folded into the grid span, then interpolated.
+    at = grid.x_min + (centers[off_target] - grid.x_min) % spec.period
+    at[at > grid.x_min + (grid.x_max - grid.x_min)] -= spec.period
+    penalty = np.interp(at, xs, values).max(initial=0.0)
 
-    magnitudes = fourier_harmonics(profile, spec.period, top_harmonic_index(geometry))
-    ratio = float(magnitudes[-1] / magnitudes[0]) if magnitudes[0] > 0 else math.inf
+    # A sample lies in an off-target span when the centers on both sides of
+    # it (the same center, if it sits on one) are off-target; the span from
+    # the last center round to the first counts only if some pixel is a target.
+    folded = (xs - grid.x_min) % spec.period
+    left = np.searchsorted(centers, folded, side="right") - 1
+    right = np.searchsorted(centers, folded, side="left")
+    in_span = off_target[left % spec.pixel_count] & off_target[right % spec.pixel_count]
+    if not target_set:
+        in_span &= (left >= 0) & (right < spec.pixel_count)
+    offband = values[in_span].max(initial=0.0)
+
+    sample_pixel = np.minimum((folded / spec.pixel_width).astype(int) + 1, spec.pixel_count)
+    dose_fraction = float(values[off_target[sample_pixel - 1]].sum()) / float(values.sum())
+
+    zeroth, top = _harmonic_magnitudes(profile, spec.period, [0, top_harmonic_index(geometry)])
+    ratio = float(top / zeroth) if zeroth > 0 else math.inf
     return DegradationReport(
         fwhm=fwhm(profile),
-        exposure_penalty=penalty / peak,
-        offtarget_max=offband / peak,
+        exposure_penalty=float(penalty) / peak,
+        offtarget_max=float(offband) / peak,
         offtarget_dose_fraction=dose_fraction,
         missing_top_harmonic=ratio < MISSING_HARMONIC_RATIO,
         top_harmonic_ratio=ratio,
     )
-
-
-def _interp_periodic(profile: DepositionProfile, position: float, period: float) -> float:
-    xs = profile.grid.points()
-    span = profile.grid.x_max - profile.grid.x_min
-    folded = profile.grid.x_min + (position - profile.grid.x_min) % period
-    if folded > profile.grid.x_min + span:
-        folded -= period
-    return float(np.interp(folded, xs, profile.values))
-
-
-def _cyclic_runs(pixels, count):
-    """Maximal runs of consecutive pixels on the cyclic 1..count grid."""
-    if not pixels:
-        return []
-    present = set(pixels)
-    if len(present) == count:
-        return [(1, count)]
-    runs = []
-    for p in sorted(present):
-        prev = count if p == 1 else p - 1
-        if prev in present:
-            continue
-        end = p
-        while (1 if end == count else end + 1) in present:
-            end = 1 if end == count else end + 1
-        runs.append((p, end))
-    return runs

@@ -172,31 +172,34 @@ class ExposurePlan:
             raise ValueError(f"entry weights sum to {total!r}, expected 1")
 
 
+def mixture_weights(weights, count: int) -> list[float]:
+    """Weights of ``count`` entries normalized to sum to one: equal by
+    default, else non-negative and not all zero."""
+    weights = [1.0] * count if weights is None else [float(w) for w in weights]
+    if len(weights) != count:
+        raise ValueError(f"{len(weights)} weights for {count} entries")
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be non-negative")
+    total = sum(weights)
+    if total <= 0:
+        raise ValueError("weights must not all vanish")
+    return [w / total for w in weights]
+
+
 def plan_pattern(geometry: Geometry, targets, weights=None) -> ExposurePlan:
     """Build a plan exposing the given pixel addresses.
 
     Weights default to an equal statistical mixture; arbitrary
     non-negative weights are accepted for grayscale patterns and are
-    normalized to sum to one.
+    normalized to sum to one.  A zero weight drops its target.
     """
     addresses = [_as_address(t) for t in targets]
     if not addresses:
         raise ValueError("target set must be non-empty")
-    if weights is None:
-        weights = [1.0] * len(addresses)
-    else:
-        weights = [float(w) for w in weights]
-        if len(weights) != len(addresses):
-            raise ValueError(f"{len(weights)} weights for {len(addresses)} targets")
-        if any(w < 0 for w in weights):
-            raise ValueError("weights must be non-negative")
-    total = sum(weights)
-    if total <= 0:
-        raise ValueError("weights must not all vanish")
     entries = tuple(
-        PlanEntry(w / total, phases_for_pixel(geometry, a), a)
-        for w, a in zip(weights, addresses)
-        if w > 0
+        PlanEntry(w, phases_for_pixel(geometry, a), a)
+        for w, a in zip(mixture_weights(weights, len(addresses)), addresses)
+        if w != 0.0
     )
     return ExposurePlan(geometry, entries)
 

@@ -2,10 +2,12 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from qlitho import imperfections
 from qlitho.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, build_parser, main
 from qlitho.planner import partition_table
 
@@ -257,6 +259,12 @@ class TestPlan:
         assert "[grid]" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["plan", "expose"])
+    def test_full_order_lossless_sections_accepted(self, command, tmp_path):
+        config = tmp_path / "cfg.ini"
+        config.write_text(PIXEL6_CONFIG + "\n[absorption]\norder = 6\n[loss]\ntransmission = 1\n")
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == EXIT_OK
+
     def test_unreadable_pattern_is_input_error(self, pixel6_config, tmp_path, capsys):
         missing = tmp_path / "missing.txt"
         code = main(["plan", "--config", str(pixel6_config), "--out", str(tmp_path), "--pattern", str(missing)])
@@ -271,6 +279,52 @@ class TestOutputErrors:
         code = main(["rate", "--config", str(pixel6_config), "--out", str(blocker / "sub")])
         assert code == EXIT_COMPUTE
         assert "cannot write output" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError("Unable to allocate 8.00 GiB"), "computation error: Unable to allocate 8.00 GiB\n"),
+            (MemoryError(), "computation error: out of memory\n"),
+        ],
+        ids=["numpy-message", "bare"],
+    )
+    def test_out_of_memory_is_computation_error(self, exc, message, pixel6_config, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(imperfections, "degradation_report", exhausted)
+        out = tmp_path / "out"
+        assert main(["plan", "--config", str(pixel6_config), "--out", str(out)]) == EXIT_COMPUTE
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+
+class TestScale:
+    # Bound chosen before measuring; the run traces about 5 MB.
+    PEAK_BYTES = 50 * 2**20
+
+    def test_sixteen_pair_chain_plan(self, tmp_path):
+        # chain(1, 16): 65536 pixels of width 1/4, period 16384, top harmonic 65535.
+        pairs = "".join(f"\n    photons=1 scaling=1/{2 ** j}" for j in range(16))
+        config = tmp_path / "chain.ini"
+        config.write_text(
+            f"[geometry]\npairs ={pairs}\n[grid]\nx_min = 0\nx_max = 16384\nsamples = 8193\n[plan]\ntargets = 3\n"
+        )
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(["plan", "--config", str(config), "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak < self.PEAK_BYTES
+        report = (out / "plan_report.txt").read_text()
+        assert "pixel_count: 65536\n" in report and "top_harmonic_ratio: " in report
+
+
+ORDER_4 = "\n[absorption]\norder = 4\n"
+LOSSY = "\n[loss]\ntransmission = 0.5\n"
 
 
 class TestInputErrors:
@@ -326,11 +380,36 @@ class TestInputErrors:
                 None,
                 "weights and phases must be finite",
             ),
+            (
+                ["rate"],
+                PIXEL6_CONFIG.replace("targets = 6", "phase_turns =\n    0,0\n    0.5,0.25\nweights = 1 -1"),
+                None,
+                "error: rate: weights must be non-negative",
+            ),
+            (
+                ["rate"],
+                PIXEL6_CONFIG.replace("targets = 6", "phase_turns =\n    0,0\n    0.5,0.25\nweights = 0 0"),
+                None,
+                "error: rate: weights must not all vanish",
+            ),
+            (["plan"], PIXEL6_CONFIG + ORDER_4, None, "error: plan requires full-order absorption"),
+            (["plan"], PIXEL6_CONFIG + LOSSY, None, "error: plan requires a lossless beam path\n"),
+            (["plan"], PIXEL6_CONFIG + ORDER_4, "1 0\n0 1\n", "error: plan requires full-order absorption"),
+            (["expose"], PIXEL6_CONFIG + ORDER_4, None, "error: expose requires full-order absorption"),
+            (["expose"], PIXEL6_CONFIG + LOSSY, None, "error: expose requires a lossless beam path\n"),
+            (
+                ["plan"],
+                PIXEL6_CONFIG.replace("x_max = 2", "x_max = 1.5"),
+                None,
+                "error: plan: grid span 1.5 is not an integer number of periods 2.0",
+            ),
         ],
         ids=[
             "scaling-1/0", "photons-abc", "negative-weight", "weight-x", "phase-abc", "two_d-maybe",
             "shots-0", "repeats-0", "seed-negative", "bitmap-17x2", "bitmap-negative-empty",
-            "negative-covers-all", "x_max-inf", "phase-inf", "weight-nan",
+            "negative-covers-all", "x_max-inf", "phase-inf", "weight-nan", "phase-weight-negative",
+            "phase-weights-zero", "plan-order", "plan-loss", "plan-2d-order", "expose-order", "expose-loss",
+            "plan-partial-period",
         ],
     )
     def test_refused_input(self, argv, config_text, pattern, message, tmp_path, capsys):

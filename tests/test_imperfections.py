@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from conftest import nested_geometry
 
 from qlitho.deposition import (
     DepositionProfile,
@@ -10,14 +13,16 @@ from qlitho.deposition import (
 )
 from qlitho.fock import Geometry, ModePair, norm_sq, reciprocal_binomial
 from qlitho.imperfections import (
+    MISSING_HARMONIC_RATIO,
     DegradationReport,
     LossModel,
     degradation_report,
     fwhm,
     lossy_mixture,
+    plan_fock_values,
     top_harmonic_index,
 )
-from qlitho.planner import entry_state, phases_for_pixel, plan_pattern, plan_profile
+from qlitho.planner import PixelSpec, entry_state, phases_for_pixel, pixel_center, plan_pattern, plan_profile
 
 
 @pytest.fixture
@@ -200,6 +205,13 @@ class TestDegradationReport:
         with pytest.raises(ValueError, match="grid"):
             degradation_report(a, b, geometry)
 
+    @pytest.mark.parametrize("target", [0, 6])
+    def test_target_outside_pixel_grid_rejected(self, grazing_four, target):
+        geometry, state = grazing_four
+        profile = profile_brute(state, 4, SamplingGrid(0.0, 0.5, 65))
+        with pytest.raises(ValueError, match=r"targets must be pixels 1\.\.5"):
+            degradation_report(profile, profile, geometry, targets=[2, target])
+
     def test_target_inferred_from_reference_peak(self, grazing_four):
         geometry, state = grazing_four
         grid = SamplingGrid(0.0, 0.5, 2001)
@@ -213,6 +225,86 @@ class TestDegradationReport:
             DegradationReport(0.0, 0.1, 0.1, 0.1, False, 1.0)
         with pytest.raises(ValueError):
             DegradationReport(0.1, -0.1, 0.1, 0.1, False, 1.0)
+
+
+def reference_readings(profile, spec, targets):
+    """The three penalty readings as the ``DegradationReport`` docstring defines
+    them, one pixel, one off-target run and one sample at a time."""
+    grid = profile.grid
+    xs = grid.points()
+    values = profile.values
+    span = grid.x_max - grid.x_min
+    count = spec.pixel_count
+    off = [p for p in range(1, count + 1) if p not in targets]
+
+    penalty = 0.0
+    for p in off:
+        x = grid.x_min + (pixel_center(spec, p) - grid.x_min) % spec.period
+        if x > grid.x_min + span:
+            x -= spec.period
+        penalty = max(penalty, float(np.interp(x, xs, values)))
+
+    # Maximal runs of consecutive off-target pixels on the cyclic pixel
+    # grid; when every pixel is off-target the run is 1..count, unwrapped.
+    if len(off) == count:
+        runs = [(1, count)]
+    else:
+        runs = []
+        for p in off:
+            if (p - 2) % count + 1 in off:
+                continue
+            end = p
+            while end % count + 1 in off:
+                end = end % count + 1
+            runs.append((p, end))
+    folded = (xs - grid.x_min) % spec.period
+    offband = 0.0
+    for first, last in runs:
+        lo, hi = pixel_center(spec, first), pixel_center(spec, last)
+        for f, v in zip(folded, values):
+            if (lo <= f <= hi) if lo <= hi else (f >= lo or f <= hi):
+                offband = max(offband, float(v))
+
+    sample_pixel = [min(int(f / spec.pixel_width) + 1, count) for f in folded]
+    in_off = np.array([p not in targets for p in sample_pixel])
+    dose = float(values[in_off].sum()) / float(values.sum())
+    peak = float(values.max())
+    return penalty / peak, offband / peak, dose
+
+
+class TestReportAgainstDefinitions:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=4),
+        st.integers(1, 2),
+        st.sampled_from([65, 257, 300, 1025]),
+        st.sampled_from([0.0, -0.3, 0.125]),
+        st.data(),
+    )
+    def test_fields_match_definitions(self, photons, periods, samples, x_min, data):
+        geometry = nested_geometry(photons)
+        spec = PixelSpec.from_geometry(geometry)
+        pixels = st.integers(1, spec.pixel_count)
+        exposed = sorted(data.draw(st.sets(pixels, min_size=1, max_size=4)))
+        targets = data.draw(st.sets(pixels, max_size=spec.pixel_count))
+        order = data.draw(st.integers(1, geometry.total_photons))
+        grid = SamplingGrid(x_min, x_min + periods * spec.period, samples)
+        plan = plan_pattern(geometry, exposed)
+        profile = DepositionProfile(grid, plan_fock_values(plan, order, grid.points()))
+        try:
+            report = degradation_report(profile, profile, geometry, targets=sorted(targets))
+        except ValueError as exc:
+            # A profile that never falls to half its peak has no FWHM.
+            assume("half maximum" not in str(exc))
+            raise
+        penalty, offband, dose = reference_readings(profile, spec, targets)
+        assert report.exposure_penalty == penalty
+        assert report.offtarget_max == offband
+        assert report.offtarget_dose_fraction == dose
+        assert report.fwhm == fwhm(profile)
+        magnitudes = fourier_harmonics(profile, spec.period, top_harmonic_index(geometry))[[0, -1]]
+        np.testing.assert_allclose(report.top_harmonic_ratio, magnitudes[1] / magnitudes[0], rtol=1e-12, atol=0)
+        assert report.missing_top_harmonic == (report.top_harmonic_ratio < MISSING_HARMONIC_RATIO)
 
 
 class TestFwhm:
