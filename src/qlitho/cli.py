@@ -104,6 +104,7 @@ def _plan_from_config(cfg: RunConfig) -> planner.ExposurePlan:
         entries = tuple(
             planner.PlanEntry(w, tuple(2.0 * np.pi * t for t in turns))
             for turns, w in zip(cfg.phase_entries, weights)
+            if w != 0.0
         )
         return planner.ExposurePlan(geometry, entries)
     if cfg.targets is not None:
@@ -236,13 +237,13 @@ def cmd_plan(args) -> int:
     report_lines += [
         f"entries: {len(plan.entries)}",
         f"pixel_count: {spec.pixel_count}",
-        f"pixel_width_lambda: {format(spec.pixel_width, '.17g')}",
-        f"period_lambda: {format(spec.period, '.17g')}",
-        f"fwhm_lambda: {format(report.fwhm, '.17g')}",
-        f"exposure_penalty_at_centers: {format(report.exposure_penalty, '.17g')}",
-        f"offtarget_max: {format(report.offtarget_max, '.17g')}",
-        f"offtarget_dose_fraction: {format(report.offtarget_dose_fraction, '.17g')}",
-        f"top_harmonic_ratio: {format(report.top_harmonic_ratio, '.17g')}",
+        f"pixel_width_lambda: {deposition.FLOAT % spec.pixel_width}",
+        f"period_lambda: {deposition.FLOAT % spec.period}",
+        f"fwhm_lambda: {deposition.FLOAT % report.fwhm}",
+        f"exposure_penalty_at_centers: {deposition.FLOAT % report.exposure_penalty}",
+        f"offtarget_max: {deposition.FLOAT % report.offtarget_max}",
+        f"offtarget_dose_fraction: {deposition.FLOAT % report.offtarget_dose_fraction}",
+        f"top_harmonic_ratio: {deposition.FLOAT % report.top_harmonic_ratio}",
     ]
     _write_all(out, {
         "plan.txt": planner.plan_to_text(plan),

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .deposition import SamplingGrid
+from .deposition import FLOAT, SamplingGrid
 from .exposure import FilmModel
 from .fock import Geometry, ModePair
 from .imperfections import LossModel
@@ -216,14 +216,12 @@ def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse(serialize(cfg)) == cfg."""
     parser = configparser.ConfigParser(interpolation=None)
     if cfg.pairs:
-        lines = "".join(
-            f"\nphotons={p.photons} scaling={format(p.scaling, '.17g')}" for p in cfg.pairs
-        )
+        lines = "".join(f"\nphotons={p.photons} scaling={FLOAT % p.scaling}" for p in cfg.pairs)
         parser["geometry"] = {"pairs": lines}
     if cfg.grid is not None:
         parser["grid"] = {
-            "x_min": format(cfg.grid.x_min, ".17g"),
-            "x_max": format(cfg.grid.x_max, ".17g"),
+            "x_min": FLOAT % cfg.grid.x_min,
+            "x_max": FLOAT % cfg.grid.x_max,
             "samples": str(cfg.grid.samples),
         }
     if cfg.targets is not None or cfg.phase_entries is not None:
@@ -231,19 +229,17 @@ def serialize_config(cfg: RunConfig) -> str:
         if cfg.targets is not None:
             plan["targets"] = " ".join(map(format_address, cfg.targets))
         if cfg.phase_entries is not None:
-            plan["phase_turns"] = "".join(
-                "\n" + ",".join(format(v, ".17g") for v in entry) for entry in cfg.phase_entries
-            )
+            plan["phase_turns"] = "".join("\n" + ",".join(FLOAT % v for v in e) for e in cfg.phase_entries)
         if cfg.weights is not None:
-            plan["weights"] = " ".join(format(w, ".17g") for w in cfg.weights)
+            plan["weights"] = " ".join(FLOAT % w for w in cfg.weights)
         parser["plan"] = plan
     if cfg.absorption_order is not None:
         parser["absorption"] = {"order": str(cfg.absorption_order)}
     if cfg.transmission != 1.0:
-        parser["loss"] = {"transmission": format(cfg.transmission, ".17g")}
+        parser["loss"] = {"transmission": FLOAT % cfg.transmission}
     parser["film"] = {
         "grains": str(cfg.film.grains),
-        "absorb_prob": format(cfg.film.absorb_prob, ".17g"),
+        "absorb_prob": FLOAT % cfg.film.absorb_prob,
         "shots": str(cfg.film.shots),
         "seed": str(cfg.film.seed),
         "repeats": str(cfg.film.repeats),

@@ -32,6 +32,9 @@ from .fock import (
 
 NORMALIZATION_MODES = ("raw", "peak_unity", "pixel_sum_unity")
 
+# Every float in every output file: 17 significant digits round-trip a float64.
+FLOAT = "%.17g"
+
 # Below this |sin(theta/2)| the Dirichlet ratio is replaced by its limit.
 _SINGULARITY_GUARD = 1e-9
 
@@ -238,10 +241,10 @@ def profile_text(profile: DepositionProfile, header_lines=()) -> str:
     """Two-column CSV text (x_lambda, rate) with comment header."""
     lines = [f"# {line}" for line in header_lines]
     lines.append(f"# normalization: {profile.normalization_mode}")
-    lines.append("x_lambda,rate")
-    for x, v in zip(profile.grid.points(), profile.values):
-        lines.append(f"{format(x, '.17g')},{format(v, '.17g')}")
-    return "\n".join(lines) + "\n"
+    lines.append("x_lambda,rate\n")
+    row = f"{FLOAT},{FLOAT}\n"
+    rows = zip(profile.grid.points().tolist(), profile.values.tolist())
+    return "\n".join(lines) + "".join([row % pair for pair in rows])
 
 
 def profile_2d_text(grid_x: SamplingGrid, grid_y: SamplingGrid, values: np.ndarray,
@@ -251,12 +254,12 @@ def profile_2d_text(grid_x: SamplingGrid, grid_y: SamplingGrid, values: np.ndarr
     if values.shape != (grid_x.samples, grid_y.samples):
         raise ValueError(f"expected shape {(grid_x.samples, grid_y.samples)}, got {values.shape}")
     lines = [f"# {line}" for line in header_lines]
-    lines.append(f"# x_axis: min={format(grid_x.x_min, '.17g')} max={format(grid_x.x_max, '.17g')} samples={grid_x.samples}")
-    lines.append(f"# y_axis: min={format(grid_y.x_min, '.17g')} max={format(grid_y.x_max, '.17g')} samples={grid_y.samples}")
-    lines.append("x_lambda,y_lambda,rate")
-    xs = grid_x.points()
-    ys = grid_y.points()
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            lines.append(f"{format(x, '.17g')},{format(y, '.17g')},{format(values[i, j], '.17g')}")
-    return "\n".join(lines) + "\n"
+    for axis, grid in (("x", grid_x), ("y", grid_y)):
+        lines.append(f"# {axis}_axis: min={FLOAT % grid.x_min} max={FLOAT % grid.x_max} samples={grid.samples}")
+    lines.append("x_lambda,y_lambda,rate\n")
+    # One template per x row: "\0" stands for the x column and each FLOAT for a rate.
+    row = "".join([f"\0{FLOAT % y},{FLOAT}\n" for y in grid_y.points().tolist()])
+    xs = grid_x.points().tolist()
+    text = ["\n".join(lines)]
+    text += [row.replace("\0", f"{FLOAT % x},") % tuple(v) for x, v in zip(xs, values.tolist())]
+    return "".join(text)

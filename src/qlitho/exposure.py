@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .deposition import FLOAT
 from .planner import ExposurePlan, PixelSpec, plan_rate_values
 
 
@@ -118,11 +119,11 @@ def exposure_result_text(result: ExposureResult, header_lines=()) -> str:
     lines.append(f"# seed: {result.seed}")
     lines.append(f"# repeats: {result.counts.shape[0]}")
     lines.append("pixel,mean,std")
-    for p, (mean, std) in enumerate(zip(result.per_pixel_mean, result.per_pixel_std), start=1):
-        lines.append(f"{p},{format(mean, '.17g')},{format(std, '.17g')}")
+    row = f"%d,{FLOAT},{FLOAT}"
+    stats = zip(result.per_pixel_mean.tolist(), result.per_pixel_std.tolist())
+    lines.extend(row % (p, mean, std) for p, (mean, std) in enumerate(stats, start=1))
     lines.append("# raw counts: one row per repeat, one column per pixel")
-    for row in result.counts:
-        lines.append("counts " + " ".join(str(int(c)) for c in row))
+    lines.extend("counts " + " ".join(map(str, row)) for row in result.counts.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -130,5 +131,5 @@ def grain_bitmap_text(result: ExposureResult) -> str:
     """0/1 grain map of the first repeat (one row per pixel), for rendering."""
     if result.grain_bitmap is None:
         raise ValueError("simulation was run without keep_grains=True")
-    rows = result.grain_bitmap[0]
-    return "\n".join("".join("1" if g else "0" for g in row) for row in rows) + "\n"
+    rows = result.grain_bitmap[0].astype(np.uint8).tolist()
+    return "\n".join("".join(map(str, row)) for row in rows) + "\n"

@@ -428,7 +428,7 @@ def _geometry_lines(geometry: Geometry) -> list[str]:
     lines = [f"pairs {len(geometry.pairs)}"]
     for pair in geometry.pairs:
         lines.append(
-            f"pair {pair.index} photons {pair.photons} scaling {format(pair.scaling, '.17g')}"
+            f"pair {pair.index} photons {pair.photons} scaling {deposition.FLOAT % pair.scaling}"
         )
     return lines
 
@@ -445,9 +445,9 @@ def plan_to_text(plan: ExposurePlan) -> str:
     lines.append(f"pixels {spec.pixel_count}")
     two_pair = len(plan.geometry.pairs) == 2
     for entry in plan.entries:
-        turns = ",".join(format(p / _TWO_PI, ".17g") for p in entry.phases)
+        turns = ",".join(deposition.FLOAT % (p / _TWO_PI) for p in entry.phases)
         line = (
-            f"entry weight={format(entry.weight, '.17g')} "
+            f"entry weight={deposition.FLOAT % entry.weight} "
             f"phase_turns={turns} target={format_address(entry.address)}"
         )
         if two_pair and entry.address is not None and not entry.address.intermediate:
@@ -468,7 +468,7 @@ def plan2d_to_text(plan: ExposurePlan2D) -> str:
     lines.append(f"pixels {spec.pixel_count}")
     for entry in plan.entries:
         lines.append(
-            f"entry weight={format(entry.weight, '.17g')} "
+            f"entry weight={deposition.FLOAT % entry.weight} "
             f"x={format_address(entry.x_address)} y={format_address(entry.y_address)}"
         )
     return "\n".join(lines) + "\n"

@@ -419,6 +419,23 @@ class TestInputErrors:
             argv = argv + ["--pattern", str(path)]
         self.assert_refused(argv, config_text, tmp_path, capsys, message)
 
+    @pytest.mark.parametrize("argv", [["rate", "--engine", "both"], ["plan"], ["expose"]], ids=lambda a: a[0])
+    def test_zero_weight_phase_entry_is_dropped(self, argv, tmp_path, capsys):
+        # As in a targets plan, a zero weight drops its entry instead of refusing the plan.
+        plans = {"zero": "phase_turns =\n    0.5,0.25\n    0,0\nweights = 1 0", "single": "phase_turns = 0.5,0.25"}
+        outputs = {}
+        for name, plan in plans.items():
+            config = tmp_path / f"{name}.ini"
+            config.write_text(PIXEL6_CONFIG.replace("targets = 6", plan))
+            assert main(argv + ["--config", str(config), "--out", str(tmp_path / name)]) == EXIT_OK
+            assert capsys.readouterr().err == ""
+            outputs[name] = {
+                path.name: [l for l in path.read_text().splitlines() if not l.startswith("#")]
+                for path in sorted((tmp_path / name).iterdir())
+            }
+        assert outputs["zero"] == outputs["single"]
+        assert all(len(rows) > 1 for rows in outputs["zero"].values())
+
 
 class TestProcess:
     """``python -m qlitho.cli`` in a fresh process, where an uncaught exception

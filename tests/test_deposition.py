@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,58 @@ class TestExportText:
         assert rows[0].split(",")[2] == "0"
         with pytest.raises(ValueError, match="shape"):
             profile_2d_text(gx, gy, np.zeros((2, 3)))
+
+
+class TestWriterEquivalence:
+    """The row-template writers against a per-value ``format(v, '.17g')`` reference."""
+
+    GRID_X = SamplingGrid(-0.1, 1e16, 7)
+    GRID_Y = SamplingGrid(1e-300, 1.0, 5)
+
+    @staticmethod
+    def edge_values(count):
+        special = [0.0, -0.0, 5e-324, 1e-300, 0.1, 1.0, 1e16, 2.0**53 + 1.0]
+        neighbours = [np.nextafter(v, d) for v in (5e-324, 0.1, 1.0, 1e16, 2.0**53) for d in (0.0, np.inf)]
+        rest = np.random.default_rng(7).random(count) * 10.0 ** np.linspace(-150, 150, count)
+        return np.concatenate([special, neighbours, rest])[:count]
+
+    def test_profile_2d_text_matches_per_value_reference(self):
+        gx, gy = self.GRID_X, self.GRID_Y
+        values = self.edge_values(gx.samples * gy.samples).reshape(gx.samples, gy.samples)
+        reference = ["# demo"]
+        for axis, grid in (("x", gx), ("y", gy)):
+            reference.append(
+                f"# {axis}_axis: min={format(grid.x_min, '.17g')} max={format(grid.x_max, '.17g')} "
+                f"samples={grid.samples}"
+            )
+        reference.append("x_lambda,y_lambda,rate")
+        for i, x in enumerate(gx.points()):
+            for j, y in enumerate(gy.points()):
+                reference.append(f"{format(x, '.17g')},{format(y, '.17g')},{format(values[i, j], '.17g')}")
+        text = profile_2d_text(gx, gy, values, ["demo"])
+        assert text.splitlines() == reference
+        assert text == "\n".join(reference) + "\n"
+
+    def test_profile_text_matches_per_value_reference(self):
+        grid = SamplingGrid(-0.0, 0.1, 30)
+        profile = DepositionProfile(grid, self.edge_values(grid.samples))
+        reference = ["# demo", "# normalization: raw", "x_lambda,rate"]
+        reference += [f"{format(x, '.17g')},{format(v, '.17g')}" for x, v in zip(grid.points(), profile.values)]
+        text = profile_text(profile, ["demo"])
+        assert text.splitlines() == reference
+        assert text == "\n".join(reference) + "\n"
+
+    def test_profile_2d_text_peak_memory_is_about_twice_the_text(self):
+        # A list of one string per line would hold about four times the text.
+        grid = SamplingGrid(0.0, 2.0, 512)
+        values = np.random.default_rng(3).random((512, 512))
+        tracemalloc.start()
+        try:
+            text = profile_2d_text(grid, grid, values, ["demo"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * len(text)
 
 
 def test_fundamental_periods(two_pair_33, two_pair_24, chain_47):

@@ -76,6 +76,20 @@ targets = 2 7 10
 normalize = peak
 two_d = true
 """,
+    "bitmap.ini": PAIR33 + """
+[grid]
+x_min = -0.25
+x_max = 1.75
+samples = 64
+""",
+    "bitmap.txt": """
+# a diagonal run with one isolated cell
+1 0 0 0
+0 1 0 0
+0 0 1 0
+0 0 0 0
+1 0 0 0
+""",
     "expose.ini": PAIR33 + """
 [plan]
 targets = 6 11
@@ -92,6 +106,7 @@ repeats = 4
 CASES = {
     "plan": ["plan", "--config", "plan.ini"],
     "plan-negative": ["plan", "--config", "negative.ini", "--negative"],
+    "plan-bitmap": ["plan", "--config", "bitmap.ini", "--pattern", "bitmap.txt"],
     "rate-both": ["rate", "--config", "both.ini", "--engine", "both"],
     "expose": ["expose", "--config", "expose.ini", "--grain-bitmap"],
     "verify": ["verify"],
@@ -110,6 +125,12 @@ DIGESTS = {
         'plan.txt': 'a84c224ca6e590e920f69b919793140b79e88c45f8e259a16e6a54050dbf327b',
         'plan_profile.csv': '66b09c4c828d00fe46caf41707b4d82faa78d589cc2368cc3af83c159f66557d',
         'plan_report.txt': 'f5b23768c441ea30cfa84859e49d695ce1cff0655508c7956d46707a36fd2ffb',
+    },
+    'plan-bitmap': {
+        'exit': 0,
+        'stdout': '21eb4326c5ed922370f75b0d83138986a99cfcdddcb26af7d535946c89f25e75',
+        'plan.txt': 'ad58ea75f9771ce38f4bdf32defc475d425cb1f5a5f71703bcb5f99809eb05f1',
+        'plan_profile_2d.csv': 'ca5a321305e1f0465d61f9663d24f8017806934670e51bea88bbfa15dd64b3df',
     },
     'plan-negative': {
         'exit': 0,
@@ -156,7 +177,7 @@ def run_case(name: str, root: Path) -> dict:
     for filename, text in CONFIGS.items():
         (root / filename).write_text(text)
     out = root / "out"
-    argv = [str(root / a) if a.endswith(".ini") else a for a in CASES[name]]
+    argv = [str(root / a) if a in CONFIGS else a for a in CASES[name]]
     if name != "verify":
         argv += ["--out", str(out)]
     stdout = StringIO()
