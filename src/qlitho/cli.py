@@ -145,6 +145,8 @@ def cmd_rate(args) -> int:
             raise ConfigError("pixelsum normalization applies to the closed-form engine only")
         if cfg.engine in ("closed", "both"):
             _refuse_imperfections(cfg, "closed form", "; use the brute engine")
+        if cfg.two_d:
+            _refuse_imperfections(cfg, "rate 2D output")
     header = _config_header(cfg)
     out = _out_dir(args, cfg)
 

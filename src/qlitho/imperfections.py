@@ -6,7 +6,9 @@ how many photons each mode lost, so the state decoheres into one mixture
 component per loss pattern.  Lower-order absorption is handled by the
 brute-force rate, which sums distinguishable final states incoherently.
 For plan states, which are products over mode pairs, ``plan_fock_values``
-computes that rate pair by pair, loss included.
+computes that rate pair by pair, loss included, from amplitude tables
+cached per pair photon number and built with the same ``lossy_mixture``
+and ``absorption_transfer`` that the generic oracle uses.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .deposition import DepositionProfile, _harmonic_magnitudes, brute_force_values
-from .fock import Geometry, MixedState, PureState, apply_pair_phase, reciprocal_binomial
+from .deposition import DepositionProfile, _harmonic_magnitudes
+from .fock import Geometry, MixedState, PureState, absorption_transfer, reciprocal_binomial
 from .planner import ExposurePlan, PixelSpec
 
 
@@ -129,19 +132,48 @@ def _merge_component(components: list, weight: float, amps: dict) -> None:
     components.append((weight, amps))
 
 
+@lru_cache(maxsize=64)
+def pair_rate_tables(photons: int, order: int, transmission: float) -> tuple[np.ndarray, ...]:
+    """Amplitude tables ``A_k[f, p]``, k = 1..order, of one reciprocal-binomial pair.
+
+    Phased to theta = 4 pi s x - phi, the pair carries exp(i p theta) on the
+    basis vectors with p photons in the ``+`` mode, and loss keeps that up to
+    a global phase per mixture component.  So for every s, phi and x the
+    pair's order-k rate under the two-mode coupling is the sum of squares
+    sum_f |sum_p A_k[f, p] exp(i p theta)|^2.  A component of weight w adds
+    the rows sqrt(w) T diag(amps), T its ``absorption_transfer``, in the
+    columns of its post-loss ``+`` occupations.
+    """
+    state = reciprocal_binomial(photons)
+    mixture = MixedState(((1.0, state),)) if transmission == 1.0 else lossy_mixture(state, LossModel(transmission))
+    tables = []
+    for k in range(1, order + 1):
+        blocks = []
+        for w, component in mixture.components:
+            support = component.support
+            _, transfer = absorption_transfer(support, 2, k)
+            amps = np.array([component.amplitudes[occ] for occ in support])
+            block = np.zeros((transfer.shape[0], photons + 1), dtype=complex)
+            block[:, [occ[0] for occ in support]] = math.sqrt(w) * transfer * amps
+            blocks.append(block)
+        tables.append(np.concatenate(blocks))
+        tables[-1].flags.writeable = False  # shared by every caller through the cache
+    return tuple(tables)
+
+
 def plan_fock_values(plan: ExposurePlan, order: int, xs, loss: LossModel | None = None) -> np.ndarray:
     """Brute-force Fock-space rate of a plan at ``xs``, factorized over mode pairs.
 
     Each plan entry is a product of per-pair reciprocal-binomial states and
     loss acts mode by mode, so the entry stays a product of per-pair
     mixtures.  Splitting e = sum_p e_p, the order-K rate is
-    (K!)^2 sum over K_1 + K_2 + ... = K of prod_p rbar_{p,K_p} / (K_p!)^2:
-    different splits leave different photon numbers in the pairs and add
-    without cross terms.  ``rbar_{p,k}`` is pair p's own order-k rate under
-    the 1/sqrt(W) coupling of all W modes, averaged over its loss mixture.
-    The sum over splits is a truncated polynomial product over orders,
-    merged pair by pair with weights (j + k choose k)^2 so that no large
-    factorial is formed; the cost is polynomial in the pair count.  It
+    (K!)^2 sum over K_1 + K_2 + ... = K of prod_p rbar_{p,K_p} / (K_p!)^2,
+    with no cross terms between splits.  Pair p's own order-k rate under the
+    1/sqrt(W) coupling is rbar_{p,k} = (2/W)^k ||A_k exp(i p theta)||^2 from
+    ``pair_rate_tables``, with x reduced modulo the pair's period 1/(2 s) so
+    the rate repeats exactly over whole pattern periods.  The splits are
+    merged pair by pair with weights (j + k choose k)^2, so no large
+    factorial is formed and the cost is polynomial in the pair count.  It
     equals ``brute_force_values`` of the loss-mixed ``plan_mixture`` to
     roundoff, and is exactly zero where that is (order above the photon
     number, or no transmission).
@@ -152,19 +184,19 @@ def plan_fock_values(plan: ExposurePlan, order: int, xs, loss: LossModel | None 
     geometry = plan.geometry
     if order > geometry.total_photons:
         return np.zeros_like(xs)
+    transmission = 1.0 if loss is None else loss.transmission
+    tables = [pair_rate_tables(p.photons, min(p.photons, order), transmission) for p in geometry.pairs]
+    thetas = [4.0 * math.pi * p.scaling * np.fmod(xs, 0.5 / p.scaling) for p in geometry.pairs]
     out = np.zeros_like(xs)
     for entry in plan.entries:
         acc = np.zeros((order + 1,) + xs.shape)
         acc[0] = 1.0
-        for pair, phi in zip(geometry.pairs, entry.phases):
-            state = apply_pair_phase(
-                reciprocal_binomial(pair.photons, pair.scaling, pair.index), pair.index, -phi
-            )
-            if loss is not None:
-                state = lossy_mixture(state, loss)
+        for pair, pair_tables, theta, phi in zip(geometry.pairs, tables, thetas, entry.phases):
+            carriers = np.exp(1j * np.outer(np.arange(pair.photons + 1), theta - phi))
             nxt = acc.copy()
-            for k in range(1, min(pair.photons, order) + 1):
-                rate = (2.0 / geometry.mode_count) ** k * brute_force_values(state, k, xs)
+            for k, table in enumerate(pair_tables, start=1):
+                final = table @ carriers
+                rate = (2.0 / geometry.mode_count) ** k * np.einsum("fx,fx->x", final.conj(), final).real
                 merge = np.array([float(math.comb(j + k, k) ** 2) for j in range(order + 1 - k)])
                 nxt[k:] += merge[:, None] * rate * acc[: order + 1 - k]
             acc = nxt

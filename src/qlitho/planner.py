@@ -25,7 +25,7 @@ _TWO_PI = 2.0 * math.pi
 @dataclass(frozen=True)
 class PixelAddress:
     """One-based pixel index on one axis; ``intermediate`` selects the
-    half-step offset used to smooth diagonal lines."""
+    half-step offset, midway between this pixel's center and the next."""
 
     index: int
     intermediate: bool = False
@@ -296,19 +296,12 @@ def partition_table(photons_half: int) -> list[PartitionRow]:
     """
     if photons_half < 1:
         raise ValueError("need at least one photon per half")
-    rows = []
     total = 2 * photons_half
-    for n in range(total + 1):
-        rows.append(
-            PartitionRow(
-                photons_1=n,
-                photons_2=total - n,
-                pixels=(n + 1) * (total - n + 1),
-                feature_size=Fraction(1, 2 * (n + 1)),
-                period=Fraction(total - n + 1, 2),
-            )
-        )
-    return rows
+    return [
+        PartitionRow(photons_1=n, photons_2=total - n, pixels=(n + 1) * (total - n + 1),
+                     feature_size=Fraction(1, 2 * (n + 1)), period=Fraction(total - n + 1, 2))
+        for n in range(total + 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -351,12 +344,7 @@ def plan_bitmap(geometry: Geometry, bitmap) -> ExposurePlan2D:
         raise ValueError(
             f"bitmap {rows}x{cols} exceeds the {spec.pixel_count}-pixel grid"
         )
-    cells = [
-        (c + 1, rows - r)
-        for r in range(rows)
-        for c in range(cols)
-        if bitmap[r, c]
-    ]
+    cells = [(c + 1, rows - r) for r in range(rows) for c in range(cols) if bitmap[r, c]]
     if not cells:
         raise ValueError("bitmap selects no pixels")
     entries = tuple(
@@ -381,28 +369,6 @@ def plan_rate_values_2d(plan: ExposurePlan2D, xs, ys) -> np.ndarray:
     basis_x = pixel_basis(plan.geometry, x_rows, xs)
     basis_y = pixel_basis(plan.geometry, y_rows, ys)
     return basis_x.T @ (weights @ basis_y)
-
-
-def diagonal_intermediates(cells) -> list[tuple[PixelAddress, PixelAddress]]:
-    """Half-step pixels that fill the dips along diagonal runs of 2D cells.
-
-    For every diagonally adjacent pair of cells the returned address pair
-    sits at the corner shared by the four surrounding regular pixels.
-    """
-    cells = sorted(set((int(x), int(y)) for x, y in cells))
-    out = []
-    seen = set()
-    cell_set = set(cells)
-    for x, y in cells:
-        for dx, dy in ((1, 1), (1, -1)):
-            if (x + dx, y + dy) in cell_set:
-                corner = (min(x, x + dx), min(y, y + dy))
-                if corner not in seen:
-                    seen.add(corner)
-                    out.append(
-                        (PixelAddress(corner[0], intermediate=True), PixelAddress(corner[1], intermediate=True))
-                    )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -398,6 +398,18 @@ class TestInputErrors:
             (["expose"], PIXEL6_CONFIG + ORDER_4, None, "error: expose requires full-order absorption"),
             (["expose"], PIXEL6_CONFIG + LOSSY, None, "error: expose requires a lossless beam path\n"),
             (
+                ["rate", "--engine", "brute"],
+                PIXEL6_CONFIG + "two_d = true\n" + ORDER_4,
+                None,
+                "error: rate 2D output requires full-order absorption",
+            ),
+            (
+                ["rate", "--engine", "brute"],
+                PIXEL6_CONFIG + "two_d = true\n" + LOSSY,
+                None,
+                "error: rate 2D output requires a lossless beam path\n",
+            ),
+            (
                 ["plan"],
                 PIXEL6_CONFIG.replace("x_max = 2", "x_max = 1.5"),
                 None,
@@ -409,7 +421,7 @@ class TestInputErrors:
             "shots-0", "repeats-0", "seed-negative", "bitmap-17x2", "bitmap-negative-empty",
             "negative-covers-all", "x_max-inf", "phase-inf", "weight-nan", "phase-weight-negative",
             "phase-weights-zero", "plan-order", "plan-loss", "plan-2d-order", "expose-order", "expose-loss",
-            "plan-partial-period",
+            "rate-2d-order", "rate-2d-loss", "plan-partial-period",
         ],
     )
     def test_refused_input(self, argv, config_text, pattern, message, tmp_path, capsys):

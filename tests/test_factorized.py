@@ -13,8 +13,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import nested_geometry
+from qlitho import imperfections
 from qlitho.imperfections import LossModel, plan_fock_values
-from qlitho.planner import ExposurePlan, PixelAddress, PixelSpec, PlanEntry, plan_pattern, plan_rate_values
+from qlitho.planner import (
+    ExposurePlan,
+    PixelAddress,
+    PixelSpec,
+    PlanEntry,
+    chain_geometry,
+    plan_pattern,
+    plan_rate_values,
+)
 from qlitho.verify import FACTORIZED_TOL, generic_plan_values
 
 # Cost caps on the generic engine, not on the factorized one: its loss
@@ -75,6 +84,34 @@ class TestAgreement:
         assert closed[0] == pytest.approx(1.0)
         assert np.abs(values / values[0] - closed).max() <= 1e-9
 
+    @pytest.mark.parametrize("order, eta", [(20, 1.0), (19, 0.9)])
+    def test_periodic_over_whole_pattern_periods(self, order, eta):
+        # chain(4,20) has period 2**15; far from the origin 4 pi s x loses
+        # digits unless x is first reduced modulo each pair's own period.
+        geometry = chain_geometry(4, 20)
+        plan = plan_pattern(geometry, [1, 5])
+        period = PixelSpec.from_geometry(geometry).period
+        xs = np.arange(1024) / 1024
+        loss = LossModel(eta) if eta != 1.0 else None
+        values = plan_fock_values(plan, order, np.concatenate([xs, xs + period, xs + 3 * period]), loss)
+        base, *shifted = values.reshape(3, xs.size)
+        for far in shifted:
+            assert np.abs(far - base).max() <= 1e-14 * base.max()
+
+    def test_loss_mixture_built_once_per_pair_photon_count(self, monkeypatch):
+        original = imperfections.lossy_mixture
+        calls = []
+
+        def counted(state, loss):
+            calls.append(state.geometry.total_photons)
+            return original(state, loss)
+
+        monkeypatch.setattr(imperfections, "lossy_mixture", counted)
+        imperfections.pair_rate_tables.cache_clear()
+        geometry = chain_geometry(3, 6)
+        plan_fock_values(plan_pattern(geometry, range(1, 21)), 5, positions(geometry, 17), LossModel(0.9))
+        assert sorted(calls) == [1, 3]
+
 
 @st.composite
 def plan_cases(draw):
@@ -101,6 +138,7 @@ def test_factorized_matches_generic_engine(case):
     xs = positions(geometry)
     loss = LossModel(eta) if eta != 1.0 else None
     factorized = assert_engines_agree(plan, order, xs, loss)
+    assert factorized.min() >= 0.0
     if order > geometry.total_photons or eta == 0.0:
         assert np.all(factorized == 0.0)
     if order == geometry.total_photons and eta == 1.0:

@@ -16,7 +16,6 @@ from qlitho.planner import (
     PlanEntry,
     PlanEntry2D,
     chain_geometry,
-    diagonal_intermediates,
     entry_state,
     negative_plan,
     parse_address,
@@ -353,10 +352,10 @@ class TestTwoDimensional:
 
     def test_2d_rate_matches_per_entry_outer_products(self, chain_47, rng):
         # unequal weights, a repeated (x, y) cell, a repeated x address and
-        # the half-step intermediates that smooth a diagonal
+        # a half-step intermediate cell on both axes
         cells = [(3, 5), (7, 5), (3, 5), (3, 9), (12, 1), (4, 6)]
         addresses = [(PixelAddress(x), PixelAddress(y)) for x, y in cells]
-        addresses += diagonal_intermediates([(3, 5), (4, 6)])
+        addresses.append((PixelAddress(3, intermediate=True), PixelAddress(5, intermediate=True)))
         weights = rng.uniform(0.1, 1.0, size=len(addresses))
         weights /= weights.sum()
         plan = ExposurePlan2D(
@@ -381,12 +380,6 @@ class TestTwoDimensional:
         assert basis.shape == (3, 65)
         for row, pixel in zip(basis, pixels):
             assert np.array_equal(row, closed_form_values(two_pair_33, phases_for_pixel(two_pair_33, pixel), xs))
-
-    def test_diagonal_intermediates(self):
-        out = diagonal_intermediates([(1, 1), (2, 2), (3, 3)])
-        assert [(a.index, b.index) for a, b in out] == [(1, 1), (2, 2)]
-        assert all(a.intermediate and b.intermediate for a, b in out)
-        assert diagonal_intermediates([(1, 1), (1, 2)]) == []
 
     def test_2d_serialization_round_trip(self, two_pair_33):
         plan = plan_bitmap(two_pair_33, [[1, 1], [0, 1]])
