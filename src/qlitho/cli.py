@@ -226,13 +226,13 @@ def cmd_plan(args) -> int:
         print(f"wrote 2d plan ({len(plan2d.entries)} entries) to {out}")
         return EXIT_OK
 
+    raw = planner.plan_profile(plan, grid)
     if args.negative:
         total = planner.plan_profile(positive, grid, "pixel_sum_unity").values + \
-            planner.plan_profile(plan, grid, "pixel_sum_unity").values
+            deposition.finalize_profile(grid, raw.values, "pixel_sum_unity", len(plan.entries)).values
         print(f"sum check: max |original + negative - 1| = {np.abs(total - 1.0).max():.3e}")
 
-    profile = planner.plan_profile(plan, grid, NORMALIZE_CHOICES[cfg.normalize])
-    raw = profile if profile.normalization_mode == "raw" else planner.plan_profile(plan, grid, "raw")
+    profile = deposition.finalize_profile(grid, raw.values, NORMALIZE_CHOICES[cfg.normalize], len(plan.entries))
     targets = [e.address.index for e in plan.entries if e.address is not None and not e.address.intermediate]
     report = imperfections.degradation_report(raw, raw, geometry, targets=targets or None)
     report_lines = [f"# {line}" for line in header]

@@ -75,6 +75,10 @@ class RunConfig:
     engine: str = "closed"
     two_d: bool = False
 
+    def __post_init__(self):
+        if self.out_dir is not None and self.out_dir != self.out_dir.strip():
+            raise ValueError(f"output dir {self.out_dir!r} has surrounding whitespace, which INI strips")
+
     def geometry(self) -> Geometry:
         if not self.pairs:
             raise ConfigError("[geometry] section with at least one pair is required")

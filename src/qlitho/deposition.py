@@ -80,13 +80,18 @@ class DepositionProfile:
             raise ValueError(f"unknown normalization mode {self.normalization_mode!r}")
 
 
-def finalize_profile(grid: SamplingGrid, values: np.ndarray, mode: str) -> DepositionProfile:
-    """Wrap sampled rates as a profile, dividing by the peak for ``peak_unity``."""
+def finalize_profile(grid: SamplingGrid, values: np.ndarray, mode: str, entries: int | None = None) -> DepositionProfile:
+    """Raw rates as a profile in ``mode``, the one place the modes are applied: ``peak_unity``
+    divides by the peak, ``pixel_sum_unity`` multiplies by ``entries``, a pixel plan's entry count."""
     if mode == "peak_unity":
         peak = values.max(initial=0.0)
         if peak <= 0.0:
             raise ValueError("peak normalization requires a nonzero profile")
         values = values / peak
+    elif mode == "pixel_sum_unity":
+        if entries is None:
+            raise ValueError("pixel_sum_unity applies to closed-form pixel plans only")
+        values = values * entries
     return DepositionProfile(grid, values, mode)
 
 
@@ -173,8 +178,6 @@ def brute_force_values(state, order: int, xs) -> np.ndarray:
 
 def profile_brute(state, order: int, grid: SamplingGrid, normalization: str = "raw") -> DepositionProfile:
     """Sample the brute-force rate over a grid."""
-    if normalization == "pixel_sum_unity":
-        raise ValueError("pixel_sum_unity applies to closed-form pixel plans only")
     return finalize_profile(grid, brute_force_values(state, order, grid.points()), normalization)
 
 

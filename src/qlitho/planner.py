@@ -44,7 +44,6 @@ class PixelSpec:
     == period`` always holds.
     """
 
-    resolution_photons: int
     pixel_count: int
     pixel_width: float
     period: float
@@ -64,7 +63,7 @@ class PixelSpec:
             prev = pair.scaling
             count *= pair.photons + 1
         width = 1.0 / (2.0 * pairs[0].scaling * (pairs[0].photons + 1))
-        return PixelSpec(pairs[0].photons, count, width, count * width)
+        return PixelSpec(count, width, count * width)
 
 
 def chain_geometry(resolution_photons: int, total_photons: int) -> Geometry:
@@ -240,16 +239,9 @@ def plan_rate_values(plan: ExposurePlan, xs) -> np.ndarray:
 
 def plan_profile(plan: ExposurePlan, grid: deposition.SamplingGrid,
                  normalization: str = "raw") -> deposition.DepositionProfile:
-    """Closed-form deposition profile of a plan.
-
-    ``pixel_sum_unity`` rescales by the entry count so that the family of
-    all single-pixel profiles sums to exactly one everywhere; with equal
-    weights this is the plain unweighted sum of per-pixel kernels.
-    """
-    values = plan_rate_values(plan, grid.points())
-    if normalization == "pixel_sum_unity":
-        values = values * len(plan.entries)
-    return deposition.finalize_profile(grid, values, normalization)
+    """Closed-form profile of a plan, normalized by ``deposition.finalize_profile``; under
+    ``pixel_sum_unity`` the family of all single-pixel profiles sums to exactly one everywhere."""
+    return deposition.finalize_profile(grid, plan_rate_values(plan, grid.points()), normalization, len(plan.entries))
 
 
 def entry_state(geometry: Geometry, phases) -> PureState:

@@ -19,6 +19,7 @@ ORACLE_TOL = 1e-9
 FACTORIZED_TOL = 1e-12
 SUM_TOL = 1e-9
 CENTER_TOL = 1e-12
+_PAIR33 = Geometry((ModePair(1, 3, 1.0), ModePair(2, 3, 0.25)))
 
 
 @dataclass(frozen=True)
@@ -44,13 +45,12 @@ def figure_configurations() -> dict[str, tuple[Geometry, tuple[float, ...], floa
     uneven (2, 4) split, and the four-pair chain; periods are one full
     pattern repeat.
     """
-    pair33 = Geometry((ModePair(1, 3, 1.0), ModePair(2, 3, 0.25)))
     pair24 = Geometry((ModePair(1, 2, 1.0), ModePair(2, 4, 0.2)))
     chain47 = planner.chain_geometry(4, 7)
     zero = lambda g: (0.0,) * len(g.pairs)
     return {
-        "two-pair-3-3": (pair33, zero(pair33), 2.0),
-        "two-pair-3-3-pixel-6": (pair33, planner.phases_for_pixel(pair33, 6), 2.0),
+        "two-pair-3-3": (_PAIR33, zero(_PAIR33), 2.0),
+        "two-pair-3-3-pixel-6": (_PAIR33, planner.phases_for_pixel(_PAIR33, 6), 2.0),
         "two-pair-2-4": (pair24, zero(pair24), 2.5),
         "chain-4-7": (chain47, zero(chain47), 4.0),
     }
@@ -93,10 +93,9 @@ def suite_factorized(samples: int = 512) -> list[VerifyResult]:
     The cases cover lower-order absorption, loss, multi-entry plans and an
     intermediate address.
     """
-    pair33 = Geometry((ModePair(1, 3, 1.0), ModePair(2, 3, 0.25)))
     cases = {
-        "two-pair-3-3-order-5": (pair33, ("6", "11"), 5, 1.0),
-        "two-pair-3-3-5i-eta-0.9": (pair33, ("5i",), 6, 0.9),
+        "two-pair-3-3-order-5": (_PAIR33, ("6", "11"), 5, 1.0),
+        "two-pair-3-3-5i-eta-0.9": (_PAIR33, ("5i",), 6, 0.9),
         "chain-2-4-order-3-eta-0.85": (planner.chain_geometry(2, 4), ("2", "7", "11"), 3, 0.85),
     }
     results = []
@@ -121,9 +120,8 @@ def _sum_to_one_case(name: str, geometry: Geometry, period: float, samples: int)
 
 def suite_sum_to_one(samples: int = 1024) -> list[VerifyResult]:
     """The family of all single-pixel rates sums to one everywhere."""
-    pair33 = Geometry((ModePair(1, 3, 1.0), ModePair(2, 3, 0.25)))
     return [
-        _sum_to_one_case("two-pair-3-3-16px", pair33, 2.0, samples),
+        _sum_to_one_case("two-pair-3-3-16px", _PAIR33, 2.0, samples),
         _sum_to_one_case("chain-4-7-40px", planner.chain_geometry(4, 7), 4.0, samples),
         _sum_to_one_case("chain-3-6-32px", planner.chain_geometry(3, 6), 4.0, samples),
     ]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qlitho import imperfections
+from qlitho import imperfections, planner
 from qlitho.cli import EXIT_COMPUTE, EXIT_CONFIG, EXIT_OK, build_parser, main
 from qlitho.planner import partition_table
 
@@ -211,6 +211,17 @@ class TestPlan:
         assert match and float(match.group(1)) < 1e-9
         plan_text = (out / "plan.txt").read_text()
         assert len([l for l in plan_text.splitlines() if l.startswith("entry ")]) == 15
+
+    @pytest.mark.parametrize("negative", [False, True])
+    @pytest.mark.parametrize("normalize", ["raw", "peak", "pixelsum"])
+    def test_each_plan_evaluated_once(self, normalize, negative, pixel6_config, tmp_path, monkeypatch):
+        """The written profile, the report and the sum check share one evaluation per plan."""
+        calls = []
+        evaluate = planner.plan_rate_values
+        monkeypatch.setattr(planner, "plan_rate_values", lambda plan, xs: calls.append(plan) or evaluate(plan, xs))
+        argv = ["plan", "--config", str(pixel6_config), "--out", str(tmp_path), "--normalize", normalize]
+        assert main(argv + ["--negative"] * negative) == EXIT_OK
+        assert len(calls) == 1 + negative
 
     def test_pattern_file_overrides_config_targets(self, pixel6_config, tmp_path):
         pattern = tmp_path / "pattern.txt"

@@ -170,6 +170,13 @@ two_d = true
         cfg = RunConfig()
         assert parse_config(serialize_config(cfg)) == cfg
 
+    @pytest.mark.parametrize("out_dir", [" out", "out\t", "\u3000out"])
+    def test_out_dir_with_surrounding_whitespace_refused(self, out_dir):
+        """INI strips it, so such a directory could not round-trip through a config file."""
+        with pytest.raises(ValueError, match="surrounding whitespace"):
+            RunConfig(out_dir=out_dir)
+        assert parse_config(f"[output]\ndir = {out_dir}\n").out_dir == "out"
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
@@ -198,7 +205,7 @@ def run_configs(draw):
         draw(st.integers(2, 10**5)), draw(UNIT), draw(st.integers(1, 10**4)),
         draw(st.integers(0, 2**64)), draw(st.integers(1, 100)),
     )
-    # INI values lose surrounding whitespace; control characters are left out.
+    # RunConfig refuses surrounding whitespace (INI strips it); control characters are left out.
     out_dir = draw(st.none() | st.text(st.characters(exclude_categories=("Cc", "Cs"))).filter(
         lambda text: text == text.strip()
     ))

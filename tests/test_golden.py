@@ -58,6 +58,31 @@ targets = 3 4 9 14
 [output]
 normalize = pixelsum
 """,
+    "negative-peak.ini": PAIR33 + """
+[grid]
+x_min = 0
+x_max = 2
+samples = 129
+
+[plan]
+targets = 1 5 6 12
+
+[output]
+normalize = peak
+""",
+    "raw.ini": PAIR33 + """
+[grid]
+x_min = 0
+x_max = 2
+samples = 160
+
+[plan]
+targets = 4 7 13
+weights = 2 1 1
+
+[output]
+normalize = raw
+""",
     "both.ini": """
 [geometry]
 pairs =
@@ -107,6 +132,8 @@ repeats = 4
 CASES = {
     "plan": ["plan", "--config", "plan.ini"],
     "plan-negative": ["plan", "--config", "negative.ini", "--negative"],
+    "plan-negative-peak": ["plan", "--config", "negative-peak.ini", "--negative"],
+    "plan-raw": ["plan", "--config", "raw.ini"],
     "plan-bitmap": ["plan", "--config", "bitmap.ini", "--pattern", "bitmap.txt"],
     "rate-both": ["rate", "--config", "both.ini", "--engine", "both"],
     "expose": ["expose", "--config", "expose.ini", "--grain-bitmap"],
@@ -139,6 +166,20 @@ DIGESTS = {
         'plan.txt': '3b9202cb1a48a08710f7403702c83f0c457cccbaabe046c41d527b44c700a4e2',
         'plan_profile.csv': '4a826458c4a8e320c4e2e738ef9ee0541534c2b606090bda5b075b16df7d93f5',
         'plan_report.txt': '3a0316305ad0f30d6afd9daa5d1254fb034bb6d3e611e4af39da4bd32d9c70e7',
+    },
+    'plan-negative-peak': {
+        'exit': 0,
+        'stdout': '81a245c6f14fe8000f0ea7074af7491e3c934279a316591655eae58a3c8df0a3',
+        'plan.txt': '40b5ac61ee94d6c9df1f81426033e3d3f3366e8cb2c6e46eed6514cc9b92d096',
+        'plan_profile.csv': '8ccfe7aba7f498ee816ba570a75a048e49ef771013c251ac7d46c4d96599c4e4',
+        'plan_report.txt': 'b08306b2bc735ec6dcee7ee18ffa35e05bdedbd10b0e74313436c8f293b29f1c',
+    },
+    'plan-raw': {
+        'exit': 0,
+        'stdout': 'b1d8b5707c29e8f651da057056765f5a70b53fe91948178498f6a62e9b12908a',
+        'plan.txt': 'fc5caffeca2029f0d277cb9960aba99d3af1f28d0a39dfde60af90b5d140d026',
+        'plan_profile.csv': '1c4ea7689243818acfd1c7c39f905f63fa4cf0c3c5daed4481972e8e33fdfef3',
+        'plan_report.txt': '5ebd27ee6fee874e3c27b34144cee963ec1ddc9643fe4769853b2508c61f5ac2',
     },
     'rate-both': {
         'exit': 0,
