@@ -6,7 +6,6 @@ from .deposition import (
     brute_force_values,
     closed_form_values,
     fourier_harmonics,
-    profile_2d,
     profile_brute,
     profile_closed,
 )

@@ -162,9 +162,10 @@ def cmd_rate(args) -> int:
         brute_profile = deposition.finalize_profile(grid, values, mode)
         outputs["profile_brute.csv"] = deposition.profile_text(brute_profile, header)
     if cfg.two_d:
+        # The X and Y pairs enter the product state independently, so the rate is separable.
         base = closed_profile if closed_profile is not None else brute_profile
-        grid2d = deposition.profile_2d(base, base)
-        outputs["profile_2d.csv"] = deposition.profile_2d_text(grid, grid, grid2d, header)
+        profile_2d = deposition.DepositionProfile(grid, np.outer(base.values, base.values), base.normalization_mode)
+        outputs["profile_2d.csv"] = deposition.profile_2d_text(profile_2d, header)
     _write_all(out, outputs)
     if cfg.engine == "both":
         a = closed_profile.values / closed_profile.values.max()
@@ -203,25 +204,21 @@ def cmd_plan(args) -> int:
         else:
             deposition.whole_periods(grid, spec.period)
             if pattern is not None:
-                targets = [planner.parse_address(t) for t in pattern]
-                distinct = len(set(targets))
-                if distinct > spec.pixel_count:
-                    raise ConfigError(
-                        f"pattern selects {distinct} distinct pixels but the grid has {spec.pixel_count}"
-                    )
-                plan = planner.plan_pattern(geometry, targets)
+                plan = planner.plan_pattern(geometry, [planner.parse_address(t) for t in pattern])
             else:
                 plan = _plan_from_config(cfg)
             if args.negative:
                 positive, plan = plan, planner.negative_plan(plan)
     header = _config_header(cfg)
     out = _out_dir(args, cfg)
+    mode = NORMALIZE_CHOICES[cfg.normalize]
 
     if isinstance(pattern, np.ndarray):
         values = planner.plan_rate_values_2d(plan2d, grid.points(), grid.points())
+        profile = deposition.finalize_profile(grid, values, mode, len(plan2d.entries))
         _write_all(out, {
             "plan.txt": planner.plan2d_to_text(plan2d),
-            "plan_profile_2d.csv": deposition.profile_2d_text(grid, grid, values, header),
+            "plan_profile_2d.csv": deposition.profile_2d_text(profile, header),
         })
         print(f"wrote 2d plan ({len(plan2d.entries)} entries) to {out}")
         return EXIT_OK
@@ -232,7 +229,7 @@ def cmd_plan(args) -> int:
             deposition.finalize_profile(grid, raw.values, "pixel_sum_unity", len(plan.entries)).values
         print(f"sum check: max |original + negative - 1| = {np.abs(total - 1.0).max():.3e}")
 
-    profile = deposition.finalize_profile(grid, raw.values, NORMALIZE_CHOICES[cfg.normalize], len(plan.entries))
+    profile = deposition.finalize_profile(grid, raw.values, mode, len(plan.entries))
     targets = [e.address.index for e in plan.entries if e.address is not None and not e.address.intermediate]
     report = imperfections.degradation_report(raw, raw, geometry, targets=targets or None)
     report_lines = [f"# {line}" for line in header]

@@ -63,7 +63,11 @@ class SamplingGrid:
 
 @dataclass(frozen=True, eq=False)
 class DepositionProfile:
-    """Sampled deposition rate over a grid, tagged with its normalization."""
+    """Sampled deposition rate over a grid, tagged with its normalization.
+
+    ``values`` has shape ``(samples,)``, or ``(samples, samples)`` for a 2D
+    profile on the square grid with x outer.
+    """
 
     grid: SamplingGrid
     values: np.ndarray
@@ -72,8 +76,9 @@ class DepositionProfile:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
-        if values.shape != (self.grid.samples,):
-            raise ValueError(f"expected {self.grid.samples} values, got shape {values.shape}")
+        n = self.grid.samples
+        if values.shape not in ((n,), (n, n)):
+            raise ValueError(f"expected shape {(n,)} or {(n, n)}, got shape {values.shape}")
         if not np.all(values >= 0):
             raise ValueError("deposition rates must be non-negative")
         if self.normalization_mode not in NORMALIZATION_MODES:
@@ -186,20 +191,6 @@ def profile_closed(geometry: Geometry, phases, grid: SamplingGrid, normalization
     return finalize_profile(grid, closed_form_values(geometry, phases, grid.points()), normalization)
 
 
-def profile_2d(profile_x: DepositionProfile, profile_y: DepositionProfile) -> np.ndarray:
-    """Outer product of two axis profiles: rate[i, j] = x[i] * y[j].
-
-    Separable because the X and Y mode pairs enter the product state
-    independently; both inputs must carry the same normalization mode.
-    """
-    if profile_x.normalization_mode != profile_y.normalization_mode:
-        raise ValueError(
-            f"normalization modes differ: {profile_x.normalization_mode!r} "
-            f"vs {profile_y.normalization_mode!r}"
-        )
-    return np.outer(profile_x.values, profile_y.values)
-
-
 # ---------------------------------------------------------------------------
 # Spectral content
 # ---------------------------------------------------------------------------
@@ -250,19 +241,15 @@ def profile_text(profile: DepositionProfile, header_lines=()) -> str:
     return "\n".join(lines) + "".join([row % pair for pair in rows])
 
 
-def profile_2d_text(grid_x: SamplingGrid, grid_y: SamplingGrid, values: np.ndarray,
-                    header_lines=()) -> str:
-    """Row-major (x outer, y inner) triplet rows with axis ranges in the header."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid_x.samples, grid_y.samples):
-        raise ValueError(f"expected shape {(grid_x.samples, grid_y.samples)}, got {values.shape}")
+def profile_2d_text(profile: DepositionProfile, header_lines=()) -> str:
+    """Row-major (x outer, y inner) triplet rows of a 2D profile, with axis ranges in the header."""
+    grid = profile.grid
+    axis = f"min={FLOAT % grid.x_min} max={FLOAT % grid.x_max} samples={grid.samples}"
     lines = [f"# {line}" for line in header_lines]
-    for axis, grid in (("x", grid_x), ("y", grid_y)):
-        lines.append(f"# {axis}_axis: min={FLOAT % grid.x_min} max={FLOAT % grid.x_max} samples={grid.samples}")
-    lines.append("x_lambda,y_lambda,rate\n")
+    lines += [f"# x_axis: {axis}", f"# y_axis: {axis}", "x_lambda,y_lambda,rate\n"]
     # One template per x row: "\0" stands for the x column and each FLOAT for a rate.
-    row = "".join([f"\0{FLOAT % y},{FLOAT}\n" for y in grid_y.points().tolist()])
-    xs = grid_x.points().tolist()
+    points = grid.points().tolist()
+    row = "".join([f"\0{FLOAT % y},{FLOAT}\n" for y in points])
     text = ["\n".join(lines)]
-    text += [row.replace("\0", f"{FLOAT % x},") % tuple(v) for x, v in zip(xs, values.tolist())]
+    text += [row.replace("\0", f"{FLOAT % x},") % tuple(v) for x, v in zip(points, profile.values.tolist())]
     return "".join(text)

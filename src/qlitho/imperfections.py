@@ -265,7 +265,7 @@ def degradation_report(
     xs = grid.points()
     values = profile.values
     if targets is None:
-        x_peak = (xs[int(np.argmax(reference.values))] - grid.x_min) % spec.period
+        x_peak = xs[int(np.argmax(reference.values))] % spec.period
         targets = [min(int(x_peak / spec.pixel_width) + 1, spec.pixel_count)]
     target_set = {int(t) for t in targets}
     if not all(1 <= t <= spec.pixel_count for t in target_set):
@@ -286,7 +286,7 @@ def degradation_report(
     # A sample lies in an off-target span when the centers on both sides of
     # it (the same center, if it sits on one) are off-target; the span from
     # the last center round to the first counts only if some pixel is a target.
-    folded = (xs - grid.x_min) % spec.period
+    folded = xs % spec.period
     left = np.searchsorted(centers, folded, side="right") - 1
     right = np.searchsorted(centers, folded, side="left")
     in_span = off_target[left % spec.pixel_count] & off_target[right % spec.pixel_count]

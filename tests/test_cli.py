@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qlitho import imperfections, planner
@@ -240,11 +241,44 @@ class TestPlan:
         pattern = tmp_path / "pattern.txt"
         pattern.write_text(" ".join(str(i) for i in range(1, 18)))
         code = main(["plan", "--config", str(pixel6_config), "--out", str(tmp_path), "--pattern", str(pattern)])
-        assert code == EXIT_CONFIG  # 17 distinct pixels on a 16-pixel grid
-        assert "distinct pixels" in capsys.readouterr().err
+        assert code == EXIT_CONFIG  # pixel 17 on a 16-pixel grid
+        assert "pixel 17 out of range 1..16" in capsys.readouterr().err
         pattern.write_text("")
         code = main(["plan", "--config", str(pixel6_config), "--out", str(tmp_path), "--pattern", str(pattern)])
         assert code == EXIT_CONFIG
+
+    def test_more_addresses_than_pixels_accepted(self, pixel6_config, tmp_path):
+        # With half-step addresses a plan may hold more entries than there are pixels.
+        pattern = tmp_path / "pattern.txt"
+        pattern.write_text(" ".join([str(i) for i in range(1, 10)] + [f"{i}i" for i in range(1, 9)]))
+        out = tmp_path / "out"
+        code = main(["plan", "--config", str(pixel6_config), "--out", str(out), "--pattern", str(pattern)])
+        assert code == EXIT_OK
+        assert len([l for l in (out / "plan.txt").read_text().splitlines() if l.startswith("entry ")]) == 17
+
+    @staticmethod
+    def bitmap_rates(tmp_path, name, bitmap, normalize, negative=False):
+        """``plan_profile_2d.csv`` rates of a bitmap plan on pair(3,3) over a 33-sample grid."""
+        config = tmp_path / "small.ini"
+        config.write_text(PIXEL6_CONFIG.replace("samples = 1024", "samples = 33"))
+        pattern = tmp_path / f"{name}.txt"
+        pattern.write_text("\n".join(" ".join(str(b) for b in row) for row in bitmap) + "\n")
+        out = tmp_path / name
+        argv = ["plan", "--config", str(config), "--out", str(out), "--pattern", str(pattern), "--normalize", normalize]
+        assert main(argv + ["--negative"] * negative) == EXIT_OK
+        rows = [l for l in (out / "plan_profile_2d.csv").read_text().splitlines() if l[0] != "#" and "lambda" not in l]
+        return np.array([float(l.rsplit(",", 1)[1]) for l in rows])
+
+    def test_bitmap_plan_honors_peak_normalization(self, tmp_path):
+        rates = self.bitmap_rates(tmp_path, "diagonal", [[1, 0], [0, 1]], "peak")
+        assert rates.size == 33 * 33
+        assert rates.max() == 1.0
+
+    def test_bitmap_plan_and_negative_sum_to_one_under_pixelsum(self, tmp_path):
+        bitmap = np.random.default_rng(20).integers(0, 2, (16, 16))
+        total = self.bitmap_rates(tmp_path, "positive", bitmap, "pixelsum") + \
+            self.bitmap_rates(tmp_path, "negative", bitmap, "pixelsum", negative=True)
+        assert np.abs(total - 1.0).max() < 1e-12
 
     def test_bitmap_pattern_produces_2d_plan(self, pixel6_config, tmp_path):
         pattern = tmp_path / "bitmap.txt"

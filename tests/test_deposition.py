@@ -11,7 +11,6 @@ from qlitho.deposition import (
     closed_form_values,
     dirichlet_factor,
     fourier_harmonics,
-    profile_2d,
     profile_2d_text,
     profile_brute,
     profile_closed,
@@ -194,31 +193,21 @@ class TestProfiles:
 
 
 class TestProfile2D:
-    def test_uniform_y_replicates_rows(self):
-        grid = SamplingGrid(0.0, 1.0, 5)
-        px = DepositionProfile(grid, np.array([0.1, 0.4, 1.0, 0.4, 0.1]))
-        py = DepositionProfile(grid, np.ones(5))
-        out = profile_2d(px, py)
-        assert np.array_equal(out, np.tile(px.values[:, None], (1, 5)))
-
-    def test_max_is_product_of_maxima(self, rng):
-        grid = SamplingGrid(0.0, 1.0, 33)
-        px = DepositionProfile(grid, rng.uniform(0, 2, 33))
-        py = DepositionProfile(grid, rng.uniform(0, 3, 33))
-        assert profile_2d(px, py).max() == pytest.approx(px.values.max() * py.values.max())
-
-    def test_mismatched_normalization_rejected(self):
-        grid = SamplingGrid(0.0, 1.0, 4)
-        a = DepositionProfile(grid, np.ones(4), "raw")
-        b = DepositionProfile(grid, np.ones(4), "peak_unity")
-        with pytest.raises(ValueError, match="normalization"):
-            profile_2d(a, b)
+    def test_profile_refuses_non_square_and_negative_values(self):
+        grid = SamplingGrid(0.0, 1.0, 3)
+        assert DepositionProfile(grid, np.ones((3, 3))).values.shape == (3, 3)
+        with pytest.raises(ValueError, match="shape"):
+            DepositionProfile(grid, np.ones((3, 2)))
+        values = np.ones((3, 3))
+        values[2, 1] = -1e-300
+        with pytest.raises(ValueError, match="non-negative"):
+            DepositionProfile(grid, values)
 
     def test_two_single_pixel_profiles_give_one_peak(self, two_pair_33):
         grid = SamplingGrid(0.0, 2.0, 512)
         px = profile_closed(two_pair_33, phases_for_pixel(two_pair_33, 6), grid, "peak_unity")
         py = profile_closed(two_pair_33, phases_for_pixel(two_pair_33, 11), grid, "peak_unity")
-        out = profile_2d(px, py)
+        out = np.outer(px.values, py.values)
         i, j = np.unravel_index(np.argmax(out), out.shape)
         xs = grid.points()
         assert xs[i] == pytest.approx(11.0 / 16.0, abs=2 * grid.spacing)
@@ -280,21 +269,18 @@ class TestExportText:
             assert format(float(v), ".17g") == v
 
     def test_profile_2d_text_shape(self):
-        gx = SamplingGrid(0.0, 1.0, 3)
-        gy = SamplingGrid(0.0, 2.0, 2)
-        text = profile_2d_text(gx, gy, np.arange(6, dtype=float).reshape(3, 2))
+        grid = SamplingGrid(0.0, 1.0, 3)
+        text = profile_2d_text(DepositionProfile(grid, np.arange(9, dtype=float).reshape(3, 3)))
         rows = [l for l in text.splitlines() if not l.startswith("#") and "x_lambda" not in l]
-        assert len(rows) == 6
+        assert len(rows) == 9
         assert rows[0].split(",")[2] == "0"
-        with pytest.raises(ValueError, match="shape"):
-            profile_2d_text(gx, gy, np.zeros((2, 3)))
+        assert rows[1].split(",")[2] == "1"  # y is the inner axis
 
 
 class TestWriterEquivalence:
     """The row-template writers against a per-value ``format(v, '.17g')`` reference."""
 
-    GRID_X = SamplingGrid(-0.1, 1e16, 7)
-    GRID_Y = SamplingGrid(1e-300, 1.0, 5)
+    GRIDS = (SamplingGrid(-0.1, 1e16, 7), SamplingGrid(1e-300, 1.0, 5))
 
     @staticmethod
     def edge_values(count):
@@ -304,21 +290,16 @@ class TestWriterEquivalence:
         return np.concatenate([special, neighbours, rest])[:count]
 
     def test_profile_2d_text_matches_per_value_reference(self):
-        gx, gy = self.GRID_X, self.GRID_Y
-        values = self.edge_values(gx.samples * gy.samples).reshape(gx.samples, gy.samples)
-        reference = ["# demo"]
-        for axis, grid in (("x", gx), ("y", gy)):
-            reference.append(
-                f"# {axis}_axis: min={format(grid.x_min, '.17g')} max={format(grid.x_max, '.17g')} "
-                f"samples={grid.samples}"
-            )
-        reference.append("x_lambda,y_lambda,rate")
-        for i, x in enumerate(gx.points()):
-            for j, y in enumerate(gy.points()):
-                reference.append(f"{format(x, '.17g')},{format(y, '.17g')},{format(values[i, j], '.17g')}")
-        text = profile_2d_text(gx, gy, values, ["demo"])
-        assert text.splitlines() == reference
-        assert text == "\n".join(reference) + "\n"
+        for grid in self.GRIDS:
+            values = self.edge_values(grid.samples**2).reshape(grid.samples, grid.samples)
+            axis = f"min={format(grid.x_min, '.17g')} max={format(grid.x_max, '.17g')} samples={grid.samples}"
+            reference = ["# demo", f"# x_axis: {axis}", f"# y_axis: {axis}", "x_lambda,y_lambda,rate"]
+            for i, x in enumerate(grid.points()):
+                for j, y in enumerate(grid.points()):
+                    reference.append(f"{format(x, '.17g')},{format(y, '.17g')},{format(values[i, j], '.17g')}")
+            text = profile_2d_text(DepositionProfile(grid, values), ["demo"])
+            assert text.splitlines() == reference
+            assert text == "\n".join(reference) + "\n"
 
     def test_profile_text_matches_per_value_reference(self):
         grid = SamplingGrid(-0.0, 0.1, 30)
@@ -332,10 +313,10 @@ class TestWriterEquivalence:
     def test_profile_2d_text_peak_memory_is_about_twice_the_text(self):
         # A list of one string per line would hold about four times the text.
         grid = SamplingGrid(0.0, 2.0, 512)
-        values = np.random.default_rng(3).random((512, 512))
+        profile = DepositionProfile(grid, np.random.default_rng(3).random((512, 512)))
         tracemalloc.start()
         try:
-            text = profile_2d_text(grid, grid, values, ["demo"])
+            text = profile_2d_text(profile, ["demo"])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

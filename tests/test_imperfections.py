@@ -257,7 +257,7 @@ def reference_readings(profile, spec, targets):
             while end % count + 1 in off:
                 end = end % count + 1
             runs.append((p, end))
-    folded = (xs - grid.x_min) % spec.period
+    folded = xs % spec.period
     offband = 0.0
     for first, last in runs:
         lo, hi = pixel_center(spec, first), pixel_center(spec, last)
@@ -305,6 +305,21 @@ class TestReportAgainstDefinitions:
         magnitudes = fourier_harmonics(profile, spec.period, top_harmonic_index(geometry))[[0, -1]]
         np.testing.assert_allclose(report.top_harmonic_ratio, magnitudes[1] / magnitudes[0], rtol=1e-12, atol=0)
         assert report.missing_top_harmonic == (report.top_harmonic_ratio < MISSING_HARMONIC_RATIO)
+
+    def test_readings_do_not_depend_on_where_the_grid_starts(self, two_pair_33):
+        """pair(3,3), pixel 6 (the target the report reads off the peak), one period at four starts."""
+        plan = plan_pattern(two_pair_33, [6])
+        base = None
+        for start in (0.0, -1.0, -2.0, 2.0):
+            profile = plan_profile(plan, SamplingGrid(start, start + 2.0, 2049))
+            report = degradation_report(profile, profile, two_pair_33)
+            base = base or report
+            for field in ("fwhm", "exposure_penalty", "offtarget_max", "top_harmonic_ratio"):
+                assert abs(getattr(report, field) - getattr(base, field)) < 1e-12
+            # Both grid ends fold onto one point of the period, and the dose counts that
+            # sample twice: fold 0 for the whole-period starts, fold 1 for start -1.
+            share = profile.values.max() / profile.values.sum() if start == -1.0 else 0.0
+            assert abs(report.offtarget_dose_fraction - base.offtarget_dose_fraction) <= share + 1e-12
 
 
 class TestFwhm:
