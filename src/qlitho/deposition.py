@@ -9,10 +9,10 @@ must agree after peak normalization; that cross-check is the central
 correctness property of the package.
 
 The engine here is the generic sparse one, exponential in the pair count.
-Plan states are products over pairs, so ``imperfections.plan_fock_values``
-computes their brute-force rates pair by pair in polynomial time; the
-``rate`` command uses it, and this engine stays the independent oracle
-that ``verify`` checks it against.
+Plan states are products over pairs, so ``planner.fold_plan`` sums a
+plan's closed-form or brute-force rate pair by pair in polynomial time,
+reading x through ``pair_angles`` so that both repeat exactly over whole
+periods; this engine stays the independent oracle ``verify`` checks.
 """
 
 from __future__ import annotations
@@ -118,11 +118,18 @@ def dirichlet_factor(photons: int, theta) -> np.ndarray:
     return np.where(near, 1.0, ratio * ratio)
 
 
+def pair_angles(geometry: Geometry, xs) -> np.ndarray:
+    """Angles 4 pi s_j x, shape ``(pairs,) + xs.shape``, with x reduced exactly
+    (``fmod``) modulo the pair's period 1/(2 s_j) so far points keep their digits."""
+    xs = np.asarray(xs, dtype=float)
+    return np.array([4.0 * math.pi * p.scaling * np.fmod(xs, 0.5 / p.scaling) for p in geometry.pairs])
+
+
 def closed_form_values(geometry: Geometry, phases, xs) -> np.ndarray:
     """Full-order deposition rate at positions ``xs`` (wavelength units).
 
-    Each mode pair contributes one Dirichlet kernel in
-    theta_j = 4 pi s_j x - phi_j; the product peaks at exactly 1 where all
+    Each mode pair contributes one Dirichlet kernel in theta_j = 4 pi s_j x
+    - phi_j (``pair_angles``); the product peaks at exactly 1 where all
     kernel arguments vanish simultaneously.  Only valid when the film
     absorbs the full photon number of the product state.  ``phases`` is
     one setting of shape ``(pairs,)`` or a stack of shape
@@ -131,12 +138,11 @@ def closed_form_values(geometry: Geometry, phases, xs) -> np.ndarray:
     phases = np.asarray(phases, dtype=float)
     if phases.shape[-1:] != (len(geometry.pairs),):
         raise ValueError(f"expected {len(geometry.pairs)} phases per setting, got shape {phases.shape}")
-    xs = np.asarray(xs, dtype=float)
-    shifts = phases.reshape(phases.shape[:-1] + (1,) * xs.ndim + phases.shape[-1:])
-    out = np.ones(phases.shape[:-1] + xs.shape)
+    angles = pair_angles(geometry, xs)
+    shifts = phases.reshape(phases.shape[:-1] + (1,) * (angles.ndim - 1) + phases.shape[-1:])
+    out = np.ones(phases.shape[:-1] + angles.shape[1:])
     for j, pair in enumerate(geometry.pairs):
-        theta = 4.0 * math.pi * pair.scaling * xs - shifts[..., j]
-        out = out * dirichlet_factor(pair.photons, theta)
+        out = out * dirichlet_factor(pair.photons, angles[j] - shifts[..., j])
     return out
 
 

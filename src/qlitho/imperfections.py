@@ -22,7 +22,7 @@ import numpy as np
 
 from .deposition import DepositionProfile, _harmonic_magnitudes
 from .fock import Geometry, MixedState, PureState, absorption_transfer, reciprocal_binomial
-from .planner import ExposurePlan, PixelSpec
+from .planner import ExposurePlan, PixelSpec, fold_plan
 
 
 # A top-harmonic ratio below this counts as missing.
@@ -170,13 +170,12 @@ def plan_fock_values(plan: ExposurePlan, order: int, xs, loss: LossModel | None 
     (K!)^2 sum over K_1 + K_2 + ... = K of prod_p rbar_{p,K_p} / (K_p!)^2,
     with no cross terms between splits.  Pair p's own order-k rate under the
     1/sqrt(W) coupling is rbar_{p,k} = (2/W)^k ||A_k exp(i p theta)||^2 from
-    ``pair_rate_tables``, with x reduced modulo the pair's period 1/(2 s) so
-    the rate repeats exactly over whole pattern periods.  The splits are
-    merged pair by pair with weights (j + k choose k)^2, so no large
-    factorial is formed and the cost is polynomial in the pair count.  It
-    equals ``brute_force_values`` of the loss-mixed ``plan_mixture`` to
-    roundoff, and is exactly zero where that is (order above the photon
-    number, or no transmission).
+    ``pair_rate_tables``.  Each ``fold_plan`` step merges one pair's rates
+    into K + 1 order accumulators with weights (j + k choose k)^2, linear in
+    them, so no large factorial is formed and the cost is polynomial in the
+    pair count.  It equals ``brute_force_values`` of the loss-mixed
+    ``plan_mixture`` to roundoff, and is exactly zero where that is (order
+    above the photon number, or no transmission).
     """
     if order < 1:
         raise ValueError("absorption order must be >= 1")
@@ -186,22 +185,21 @@ def plan_fock_values(plan: ExposurePlan, order: int, xs, loss: LossModel | None 
         return np.zeros_like(xs)
     transmission = 1.0 if loss is None else loss.transmission
     tables = [pair_rate_tables(p.photons, min(p.photons, order), transmission) for p in geometry.pairs]
-    thetas = [4.0 * math.pi * p.scaling * np.fmod(xs, 0.5 / p.scaling) for p in geometry.pairs]
-    out = np.zeros_like(xs)
-    for entry in plan.entries:
-        acc = np.zeros((order + 1,) + xs.shape)
-        acc[0] = 1.0
-        for pair, pair_tables, theta, phi in zip(geometry.pairs, tables, thetas, entry.phases):
-            carriers = np.exp(1j * np.outer(np.arange(pair.photons + 1), theta - phi))
-            nxt = acc.copy()
-            for k, table in enumerate(pair_tables, start=1):
-                final = table @ carriers
-                rate = (2.0 / geometry.mode_count) ** k * np.einsum("fx,fx->x", final.conj(), final).real
-                merge = np.array([float(math.comb(j + k, k) ** 2) for j in range(order + 1 - k)])
-                nxt[k:] += merge[:, None] * rate * acc[: order + 1 - k]
-            acc = nxt
-        out += entry.weight * acc[order]
-    return out
+    merges = [np.array([float(math.comb(j + k, k) ** 2) for j in range(order + 1 - k)])[:, None]
+              for k in range(1, max(map(len, tables)) + 1)]  # once per call, not per step
+
+    def pair_step(j, theta, acc):
+        carriers = np.exp(1j * np.outer(np.arange(geometry.pairs[j].photons + 1), theta))
+        out = acc.copy()
+        for k, (table, merge) in enumerate(zip(tables[j], merges), start=1):
+            final = table @ carriers
+            rate = (2.0 / geometry.mode_count) ** k * np.einsum("fx,fx->x", final.conj(), final).real
+            out[k:] += merge * rate * acc[: order + 1 - k]
+        return out
+
+    start = np.zeros((order + 1,) + xs.shape)
+    start[0] = 1.0
+    return fold_plan(plan, xs, start, pair_step)[order]
 
 
 def top_harmonic_index(geometry: Geometry) -> int:
@@ -219,7 +217,8 @@ def fwhm(profile: DepositionProfile) -> float:
     """Full width at half maximum of the dominant peak, by linear interpolation.
 
     The profile is treated as periodic over its grid (endpoint sample
-    duplicated), so peaks near the boundary wrap correctly.
+    duplicated), so peaks near the boundary wrap correctly.  A profile that
+    never falls to half its maximum has an infinite width.
     """
     values = np.asarray(profile.values, dtype=float)
     unique = values[:-1]
@@ -240,7 +239,7 @@ def _steps_to_half(values: np.ndarray, start: int, direction: int, half: float) 
         if cur <= half:
             return (step - 1) + (prev - half) / (prev - cur)
         prev = cur
-    raise ValueError("profile never falls to half maximum")
+    return math.inf
 
 
 def degradation_report(

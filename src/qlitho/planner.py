@@ -19,8 +19,6 @@ import numpy as np
 from . import deposition
 from .fock import Geometry, MixedState, ModePair, PureState, apply_pair_phase, reciprocal_binomial, tensor
 
-_TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class PixelAddress:
@@ -88,22 +86,20 @@ def chain_geometry(resolution_photons: int, total_photons: int) -> Geometry:
     return Geometry(tuple(pairs))
 
 
-def _as_spec(spec_or_geometry) -> PixelSpec:
-    if isinstance(spec_or_geometry, PixelSpec):
-        return spec_or_geometry
-    return PixelSpec.from_geometry(spec_or_geometry)
+def _half_steps(spec: PixelSpec, address) -> int:
+    """A pixel address's center in half pixel widths: 2i - 1 for pixel i, 2i for its half step."""
+    address = _as_address(address)
+    if address.index > spec.pixel_count:
+        raise ValueError(f"pixel {address.index} out of range 1..{spec.pixel_count}")
+    return 2 * address.index - (not address.intermediate)
 
 
 def pixel_center(spec_or_geometry, address) -> float:
     """Center coordinate (wavelength units) of a pixel on its axis."""
-    spec = _as_spec(spec_or_geometry)
-    address = _as_address(address)
-    if address.index > spec.pixel_count:
-        raise ValueError(f"pixel {address.index} out of range 1..{spec.pixel_count}")
-    x = (address.index - 0.5) * spec.pixel_width
-    if address.intermediate:
-        x += 0.5 * spec.pixel_width
-    return x
+    spec = spec_or_geometry
+    if not isinstance(spec, PixelSpec):
+        spec = PixelSpec.from_geometry(spec)
+    return 0.5 * _half_steps(spec, address) * spec.pixel_width
 
 
 def _as_address(address) -> PixelAddress:
@@ -116,10 +112,13 @@ def phases_for_pixel(geometry: Geometry, address) -> tuple[float, ...]:
     """Per-pair phase settings that park the deposition peak on a pixel.
 
     The rule is phi_j = 4 pi s_j x_center mod 2 pi: every Dirichlet factor
-    then attains its maximum at the pixel center simultaneously.
+    then peaks at the pixel center.  With the center at a half pixel widths
+    and M_j = prod_{l <= j} (N_l + 1) it is phi_j = pi (a mod 2 M_j) / M_j,
+    computed from the integer residue and so exact to one rounding.
     """
-    x = pixel_center(geometry, address)
-    return tuple((4.0 * math.pi * pair.scaling * x) % _TWO_PI for pair in geometry.pairs)
+    a = _half_steps(PixelSpec.from_geometry(geometry), address)
+    radices = [math.prod(p.photons + 1 for p in geometry.pairs[: j + 1]) for j in range(len(geometry.pairs))]
+    return tuple(math.pi * (a % (2 * m)) / m for m in radices)
 
 
 def pixel_levels(index: int, photons_1: int, photons_2: int) -> tuple[int, int]:
@@ -228,13 +227,32 @@ def pixel_basis(geometry: Geometry, addresses, xs) -> np.ndarray:
     return deposition.closed_form_values(geometry, phases, xs)
 
 
+def fold_plan(plan: ExposurePlan, xs, start: np.ndarray, pair_step):
+    """Sum over entries of weight times every pair's factor applied to ``start``.
+
+    ``pair_step(j, theta, acc)``, linear in ``acc``, applies pair j's factor
+    at theta = ``deposition.pair_angles`` - phi_j.  The sorted entries form a
+    tree of shared phase prefixes, pair 1 at the root, walked depth-first with
+    each subtree summed before its pair's step, so the step runs once per
+    distinct prefix and one sum per tree level is held.
+    """
+    angles = deposition.pair_angles(plan.geometry, xs)
+    depth = len(angles)
+    entries = sorted((e.phases, e.weight) for e in plan.entries)
+    sums = [0.0] * (depth + 1)  # sums[j]: finished part of the open subtree sharing j phases
+    for (phases, weight), (following, _) in zip(entries, entries[1:] + [((None,) * depth, 0.0)]):
+        sums[depth] = sums[depth] + weight * start
+        shared = next((j for j in range(depth) if following[j] != phases[j]), depth)
+        for j in range(depth - 1, shared - 1, -1):  # close the subtrees the next entry leaves
+            sums[j], sums[j + 1] = sums[j] + pair_step(j, angles[j] - phases[j], sums[j + 1]), 0.0
+    return sums[0]
+
+
 def plan_rate_values(plan: ExposurePlan, xs) -> np.ndarray:
-    """Raw weighted closed-form rate of a plan at ``xs``, summed entry by entry (O(positions) memory)."""
-    xs = np.asarray(xs, dtype=float)
-    out = np.zeros_like(xs)
-    for entry in plan.entries:
-        out += entry.weight * deposition.closed_form_values(plan.geometry, entry.phases, xs)
-    return out
+    """Raw weighted closed-form rate of a plan at ``xs``: ``fold_plan`` with one Dirichlet factor per pair."""
+    photons = [pair.photons for pair in plan.geometry.pairs]
+    return fold_plan(plan, xs, np.ones(np.shape(xs)),
+                     lambda j, theta, acc: acc * deposition.dirichlet_factor(photons[j], theta))
 
 
 def plan_profile(plan: ExposurePlan, grid: deposition.SamplingGrid,
@@ -403,7 +421,7 @@ def plan_to_text(plan: ExposurePlan) -> str:
     lines.append(f"pixels {spec.pixel_count}")
     two_pair = len(plan.geometry.pairs) == 2
     for entry in plan.entries:
-        turns = ",".join(deposition.FLOAT % (p / _TWO_PI) for p in entry.phases)
+        turns = ",".join(deposition.FLOAT % (p / (2.0 * math.pi)) for p in entry.phases)
         line = (
             f"entry weight={deposition.FLOAT % entry.weight} "
             f"phase_turns={turns} target={format_address(entry.address)}"

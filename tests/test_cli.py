@@ -256,6 +256,15 @@ class TestPlan:
         assert code == EXIT_OK
         assert len([l for l in (out / "plan.txt").read_text().splitlines() if l.startswith("entry ")]) == 17
 
+    def test_profile_that_never_halves_has_infinite_fwhm(self, pixel6_config, tmp_path):
+        # Every pixel plus 3i: at 1024 samples the profile stays above half its peak.
+        pattern = tmp_path / "pattern.txt"
+        pattern.write_text(" ".join([str(i) for i in range(1, 17)] + ["3i"]))
+        out = tmp_path / "out"
+        code = main(["plan", "--config", str(pixel6_config), "--out", str(out), "--pattern", str(pattern)])
+        assert code == EXIT_OK
+        assert "\nfwhm_lambda: inf\n" in (out / "plan_report.txt").read_text()
+
     @staticmethod
     def bitmap_rates(tmp_path, name, bitmap, normalize, negative=False):
         """``plan_profile_2d.csv`` rates of a bitmap plan on pair(3,3) over a 33-sample grid."""

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qlitho import deposition, planner
+from qlitho import deposition, imperfections, planner
 from qlitho.cli import main
 from qlitho.config import load_config
 
@@ -150,47 +150,47 @@ DIGESTS = {
     'plan': {
         'exit': 0,
         'stdout': 'b1d8b5707c29e8f651da057056765f5a70b53fe91948178498f6a62e9b12908a',
-        'plan.txt': 'a84c224ca6e590e920f69b919793140b79e88c45f8e259a16e6a54050dbf327b',
-        'plan_profile.csv': '66b09c4c828d00fe46caf41707b4d82faa78d589cc2368cc3af83c159f66557d',
-        'plan_report.txt': 'f5b23768c441ea30cfa84859e49d695ce1cff0655508c7956d46707a36fd2ffb',
+        'plan.txt': 'f6f774c7c98143913304e2ece438fa59f06d188815a64b8844ba6fe21434bf84',
+        'plan_profile.csv': '19aa85d922e3f5f9d4693081318c4dd29acce298fc881bc4ad08618778911b34',
+        'plan_report.txt': '1556173cdfcb584c12f3b5b49d56495dbc0d4bf5c9f8a065b07ef9034d9a3219',
     },
     'plan-bitmap': {
         'exit': 0,
         'stdout': '21eb4326c5ed922370f75b0d83138986a99cfcdddcb26af7d535946c89f25e75',
         'plan.txt': 'ad58ea75f9771ce38f4bdf32defc475d425cb1f5a5f71703bcb5f99809eb05f1',
-        'plan_profile_2d.csv': 'ca5a321305e1f0465d61f9663d24f8017806934670e51bea88bbfa15dd64b3df',
+        'plan_profile_2d.csv': '6477c37e2ad997a00044327e773465ee79a8529bb14d878bd4e5de78e981f587',
     },
     'plan-negative': {
         'exit': 0,
         'stdout': '81a245c6f14fe8000f0ea7074af7491e3c934279a316591655eae58a3c8df0a3',
-        'plan.txt': '3b9202cb1a48a08710f7403702c83f0c457cccbaabe046c41d527b44c700a4e2',
-        'plan_profile.csv': '4a826458c4a8e320c4e2e738ef9ee0541534c2b606090bda5b075b16df7d93f5',
-        'plan_report.txt': '3a0316305ad0f30d6afd9daa5d1254fb034bb6d3e611e4af39da4bd32d9c70e7',
+        'plan.txt': 'c0448157623978a3518ac38e192e02d0672cd916e948f2a1348febaf66b48024',
+        'plan_profile.csv': '51c340d9c56825987ee63ac54c34cd13d962cda54b37d0049b6ae4a93f4f727b',
+        'plan_report.txt': '729e524db8ff95196c66df6bc1154ce3724c8f01be771b2c062c6cf41589d6d3',
     },
     'plan-negative-peak': {
         'exit': 0,
         'stdout': '81a245c6f14fe8000f0ea7074af7491e3c934279a316591655eae58a3c8df0a3',
-        'plan.txt': '40b5ac61ee94d6c9df1f81426033e3d3f3366e8cb2c6e46eed6514cc9b92d096',
-        'plan_profile.csv': '8ccfe7aba7f498ee816ba570a75a048e49ef771013c251ac7d46c4d96599c4e4',
-        'plan_report.txt': 'b08306b2bc735ec6dcee7ee18ffa35e05bdedbd10b0e74313436c8f293b29f1c',
+        'plan.txt': '2024f5e63cf4204b334f136bd6e2a5100cdd8a2adc530316fe68ee5908e14a49',
+        'plan_profile.csv': 'ebf46524140ed785203961248071913da8c65697a22ab37fc8ad723ceb8c6abe',
+        'plan_report.txt': '21692db280bb9ccc3720de27b75bce58055c732e9470d34873c673080bc70869',
     },
     'plan-raw': {
         'exit': 0,
         'stdout': 'b1d8b5707c29e8f651da057056765f5a70b53fe91948178498f6a62e9b12908a',
-        'plan.txt': 'fc5caffeca2029f0d277cb9960aba99d3af1f28d0a39dfde60af90b5d140d026',
-        'plan_profile.csv': '1c4ea7689243818acfd1c7c39f905f63fa4cf0c3c5daed4481972e8e33fdfef3',
-        'plan_report.txt': '5ebd27ee6fee874e3c27b34144cee963ec1ddc9643fe4769853b2508c61f5ac2',
+        'plan.txt': '859076992c854b1793541fd448f0f3ee4d14ef3495c5cd3cd95ace3fd6abf767',
+        'plan_profile.csv': 'a672ac46258b0612f87e907f3f9a2e0562a38b629c5ff62f7ac256d033272d07',
+        'plan_report.txt': 'bf8ec959bba8fbd009b75b59fd79fd3a63c4ba1139ec190439d82fc0c40c3f1f',
     },
     'rate-both': {
         'exit': 0,
         'stdout': '805d0d0cef0e80927dde85fbdcfffaab8577352042b7270fd4afe6f638e4adb5',
-        'profile_2d.csv': '7261b38ec4ecc296462b06ab5f76a992f3654784008c1d7a56e8bdac1bdfdf46',
-        'profile_brute.csv': 'bd1e39c69891d1e2443be7fda2c2c08b1051bb19c040909e7ccdcffb41ded689',
-        'profile_closed.csv': 'e13263d6b0080cfc61807b494fc2223ef129673ca90f79de9e24172c5b24a1de',
+        'profile_2d.csv': 'eb8c318e22ecf9291d180668455543e19744060712d8f0a94b9b7ab9bbdb4353',
+        'profile_brute.csv': 'a1b66106bd6e6e9197165d7f4b19f7453084f401f912c25c6c186dd373fbd580',
+        'profile_closed.csv': 'b6e740d40430d6ed1babf7597fa288fa84aa43b0ae639b235ea02d7effe6665c',
     },
     'verify': {
         'exit': 0,
-        'stdout': 'e922b362a598e3ff80b62e701a2a122e9a3f26b1fb50ffb4b4e6c71132d922ba',
+        'stdout': 'f89bedba9c044a9f1df0c739fdcdf88af0d5186e60fa67a6c1f2ba1542b0c064',
     },
 }
 
@@ -247,12 +247,37 @@ def test_output_bytes_unchanged(name, tmp_path):
     assert run_case(name, tmp_path) == DIGESTS[name]
 
 
+def read_profile(path: Path) -> np.ndarray:
+    """(x, rate) rows of a written 1D profile."""
+    lines = path.read_text().splitlines()
+    return np.array([[float(v) for v in l.split(",")] for l in lines[lines.index("x_lambda,rate") + 1 :]])
+
+
+@pytest.mark.parametrize("name, written", [
+    ("plan", "plan_profile.csv"),
+    ("plan-negative", "plan_profile.csv"),
+    ("plan-negative-peak", "plan_profile.csv"),
+    ("plan-raw", "plan_profile.csv"),
+    ("rate-both", "profile_closed.csv"),
+])
+def test_closed_profile_matches_factorized_engine(name, written, tmp_path):
+    """Pins the written closed-form rates, not only their bytes, to the factorized
+    Fock engine at full order, both scaled to a peak of one."""
+    run_case(name, tmp_path)
+    rows = read_profile(tmp_path / "out" / written)
+    cfg = load_config(tmp_path / CASES[name][2])
+    plan = planner.plan_pattern(cfg.geometry(), cfg.targets, cfg.weights)
+    if "--negative" in CASES[name]:
+        plan = planner.negative_plan(plan)
+    fock = imperfections.plan_fock_values(plan, cfg.geometry().total_photons, rows[:, 0])
+    assert np.abs(rows[:, 1] / rows[:, 1].max() - fock / fock.max()).max() <= 1e-12
+
+
 def test_brute_profile_matches_generic_engine(tmp_path):
     """Pins the rates of the ``rate-both`` brute profile, not only its bytes, to
     the generic sparse engine run on the whole plan mixture."""
     run_case("rate-both", tmp_path)
-    lines = (tmp_path / "out" / "profile_brute.csv").read_text().splitlines()
-    rows = np.array([[float(v) for v in l.split(",")] for l in lines[lines.index("x_lambda,rate") + 1 :]])
+    rows = read_profile(tmp_path / "out" / "profile_brute.csv")
     cfg = load_config(tmp_path / "both.ini")
     plan = planner.plan_pattern(cfg.geometry(), cfg.targets)
     grid = deposition.SamplingGrid(cfg.grid.x_min, cfg.grid.x_max, cfg.grid.samples)
