@@ -41,12 +41,13 @@ EXIT_COMPUTE = 3
 OUT_DIR_ENV = "QLITHO_OUT"
 
 
-def atomic_write(path: Path, text: str) -> None:
+def atomic_write(path: Path, text: str | list[str]) -> None:
+    """Write one string or a list of chunks (a 2D profile's rows) to a temp file, then rename it to ``path``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -56,7 +57,7 @@ def atomic_write(path: Path, text: str) -> None:
 
 def _write_all(out: Path, outputs: dict) -> None:
     """Write a command's output files; callers build every text first, so a
-    failed run leaves no partial output set."""
+    failed computation writes nothing."""
     for name, text in outputs.items():
         atomic_write(out / name, text)
 

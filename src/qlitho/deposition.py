@@ -247,8 +247,10 @@ def profile_text(profile: DepositionProfile, header_lines=()) -> str:
     return "\n".join(lines) + "".join([row % pair for pair in rows])
 
 
-def profile_2d_text(profile: DepositionProfile, header_lines=()) -> str:
-    """Row-major (x outer, y inner) triplet rows of a 2D profile, with axis ranges in the header."""
+def profile_2d_text(profile: DepositionProfile, header_lines=()) -> list[str]:
+    """Row-major (x outer, y inner) triplet rows of a 2D profile, with axis ranges in the header.
+
+    Unjoined chunks for ``cli.atomic_write``: the header, then one string per x row from that row's values."""
     grid = profile.grid
     axis = f"min={FLOAT % grid.x_min} max={FLOAT % grid.x_max} samples={grid.samples}"
     lines = [f"# {line}" for line in header_lines]
@@ -257,5 +259,5 @@ def profile_2d_text(profile: DepositionProfile, header_lines=()) -> str:
     points = grid.points().tolist()
     row = "".join([f"\0{FLOAT % y},{FLOAT}\n" for y in points])
     text = ["\n".join(lines)]
-    text += [row.replace("\0", f"{FLOAT % x},") % tuple(v) for x, v in zip(points, profile.values.tolist())]
-    return "".join(text)
+    text += [row.replace("\0", f"{FLOAT % x},") % tuple(v.tolist()) for x, v in zip(points, profile.values)]
+    return text

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qlitho.cli import atomic_write
 from qlitho.deposition import (
     DepositionProfile,
     SamplingGrid,
@@ -270,7 +271,7 @@ class TestExportText:
 
     def test_profile_2d_text_shape(self):
         grid = SamplingGrid(0.0, 1.0, 3)
-        text = profile_2d_text(DepositionProfile(grid, np.arange(9, dtype=float).reshape(3, 3)))
+        text = "".join(profile_2d_text(DepositionProfile(grid, np.arange(9, dtype=float).reshape(3, 3))))
         rows = [l for l in text.splitlines() if not l.startswith("#") and "x_lambda" not in l]
         assert len(rows) == 9
         assert rows[0].split(",")[2] == "0"
@@ -297,9 +298,15 @@ class TestWriterEquivalence:
             for i, x in enumerate(grid.points()):
                 for j, y in enumerate(grid.points()):
                     reference.append(f"{format(x, '.17g')},{format(y, '.17g')},{format(values[i, j], '.17g')}")
-            text = profile_2d_text(DepositionProfile(grid, values), ["demo"])
+            chunks = profile_2d_text(DepositionProfile(grid, values), ["demo"])
+            text = "".join(chunks)
             assert text.splitlines() == reference
             assert text == "\n".join(reference) + "\n"
+            # The header block, then one chunk per x row holding exactly that row's lines.
+            n = grid.samples
+            assert len(chunks) == n + 1
+            for i in range(n):
+                assert chunks[i + 1].splitlines() == reference[4 + i * n:4 + (i + 1) * n]
 
     def test_profile_text_matches_per_value_reference(self):
         grid = SamplingGrid(-0.0, 0.1, 30)
@@ -310,17 +317,18 @@ class TestWriterEquivalence:
         assert text.splitlines() == reference
         assert text == "\n".join(reference) + "\n"
 
-    def test_profile_2d_text_peak_memory_is_about_twice_the_text(self):
-        # A list of one string per line would hold about four times the text.
+    def test_profile_2d_write_peak_is_one_text(self, tmp_path):
+        # Joining the rows would hold the text twice; a whole-array tolist() adds about 0.55x.
         grid = SamplingGrid(0.0, 2.0, 512)
         profile = DepositionProfile(grid, np.random.default_rng(3).random((512, 512)))
+        path = tmp_path / "profile_2d.csv"
         tracemalloc.start()
         try:
-            text = profile_2d_text(profile, ["demo"])
+            atomic_write(path, profile_2d_text(profile, ["demo"]))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * len(text)
+        assert peak <= 1.25 * path.stat().st_size
 
 
 def test_fundamental_periods(two_pair_33, two_pair_24, chain_47):
